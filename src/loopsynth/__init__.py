@@ -20,9 +20,9 @@ from .schedule import (BinSetting, ControlSchedule, NoiseConfig,
                        ScheduleFormatError, parse_schedule, serialize_schedule)
 from .verifier import (CalibrationResult, Estimate, InseparabilitySpec,
                        NullifierSpec, calibrate_efficiency, cluster_nullifier,
-                       estimate, linear_cluster_oracle_cov, measurement_plan,
-                       nullifiers_for, plan_measurements,
-                       stream_nullifier_variances, variance_analytic)
+                       estimate, linear_cluster_oracle_cov, nullifiers_for,
+                       plan_measurements, stream_nullifier_variances,
+                       variance_analytic)
 from .waveform import (TraceFrame, WaveformConfig, extract_quadratures,
                        frame_from_text, frame_to_text, mode_function,
                        orthogonality_matrix, shot_noise_frames,
@@ -39,11 +39,10 @@ __all__ = [
     "epr_pair", "estimate", "extract_quadratures", "fibonacci",
     "frame_from_text", "frame_to_text", "hardware_check",
     "homodyne_condition", "linear_cluster_oracle_cov", "marginalize",
-    "measurement_plan", "memory_experiment", "mode_function",
-    "nullifiers_for", "orthogonality_matrix", "parse_schedule",
-    "plan_measurements", "run_loop", "run_loop_per_shot_jitter",
-    "run_loop_sampled", "run_unrolled", "sample_quadratures",
-    "serialize_schedule", "shot_noise_frames", "squeezed_vacuum",
-    "stream_nullifier_variances", "synthesize_frames", "tensor", "vacuum",
-    "variance_analytic",
+    "memory_experiment", "mode_function", "nullifiers_for",
+    "orthogonality_matrix", "parse_schedule", "plan_measurements",
+    "run_loop", "run_loop_per_shot_jitter", "run_loop_sampled",
+    "run_unrolled", "sample_quadratures", "serialize_schedule",
+    "shot_noise_frames", "squeezed_vacuum", "stream_nullifier_variances",
+    "synthesize_frames", "tensor", "vacuum", "variance_analytic",
 ]

@@ -149,8 +149,8 @@ class ReportRow:
         return self.sampled < self.threshold
 
 
-def _pair_rows(schedule, source, criteria, shots, seed, window) -> list[ReportRow]:
-    state = run_unrolled(schedule, source)
+def _sampled_estimates(schedule, source, criteria, shots, seed) -> dict:
+    """{spec: Estimate}, sampling each compatible measurement plan once."""
     groups = plan_measurements(criteria, schedule.num_outputs, shots)
     seeds = np.random.SeedSequence(seed).spawn(len(groups))
     results = {}
@@ -158,6 +158,12 @@ def _pair_rows(schedule, source, criteria, shots, seed, window) -> list[ReportRo
         samples = run_loop_sampled(schedule, source, plan, seed=child)
         for spec in specs:
             results[spec] = estimate(samples, spec)
+    return results
+
+
+def _pair_rows(schedule, source, criteria, shots, seed) -> list[ReportRow]:
+    state = run_unrolled(schedule, source)
+    results = _sampled_estimates(schedule, source, criteria, shots, seed)
     rows = []
     for crit in criteria:
         analytic = variance_analytic(state, crit.first) \
@@ -172,13 +178,7 @@ def _pair_rows(schedule, source, criteria, shots, seed, window) -> list[ReportRo
 
 def _nullifier_rows(schedule, source, specs, shots, seed, window) -> list[ReportRow]:
     analytic = stream_nullifier_variances(schedule, source, specs, window=window)
-    groups = plan_measurements(specs, schedule.num_outputs, shots)
-    seeds = np.random.SeedSequence(seed).spawn(len(groups))
-    results = {}
-    for (plan, members), child in zip(groups, seeds):
-        samples = run_loop_sampled(schedule, source, plan, seed=child)
-        for spec in members:
-            results[spec] = estimate(samples, spec)
+    results = _sampled_estimates(schedule, source, specs, shots, seed)
     return [
         ReportRow(label=spec.label, analytic=ana, sampled=results[spec].value,
                   stderr=results[spec].stderr,
@@ -222,7 +222,7 @@ def _cmd_verify(args, argv) -> int:
                       f"schedule has {len(schedule.bins)} bins", file=sys.stderr)
                 return 1
             rows = _pair_rows(schedule, source, criteria, args.shots,
-                              args.seed, args.window)
+                              args.seed)
         else:
             rows = _nullifier_rows(schedule, source, criteria, args.shots,
                                    args.seed, args.window)

@@ -1,19 +1,24 @@
 """Time-binned simulation of the loop circuit.
 
-Two execution paths cover the same physics:
+Every simulation path runs the same per-bin operation, ``_bin_step``: the
+variable beam splitter couples (loop mode, incoming pulse) into (exiting
+mode, new loop mode), the bin's phase rotates the loop mode, and in
+realistic mode the exiting mode suffers detection loss while the loop mode
+suffers loss and averaged phase-jitter dephasing once per round trip.  The
+mode exiting bin 1 is the pre-existing loop content and is always discarded.
+The channel arithmetic itself lives in ``gaussian``.
 
-* ``run_unrolled`` builds the dense equivalent chain (one mode per pulse) and
+The drivers differ only in which modes they keep:
+
+* ``run_unrolled`` steps the dense equivalent chain (one mode per pulse) and
   is the readable reference for small schedules.
-* ``run_loop`` streams bin by bin, keeping only the circulating loop mode
-  plus a sliding window of recently exited modes, so memory is independent
-  of the schedule length.  With a measurement plan it also produces exact
-  joint homodyne samples by sequential conditioning.
-
-Per bin, the variable beam splitter couples (loop mode, incoming pulse) into
-(exiting mode, new loop mode); the bin's phase is applied to the loop mode,
-and in realistic mode the loop mode suffers loss and phase-jitter dephasing
-once per round trip.  The mode exiting bin 1 is the pre-existing loop
-content and is always discarded.
+* ``run_loop`` streams bin by bin over a preallocated buffer, so memory is
+  independent of the schedule length.  Without a measurement plan it keeps
+  a sliding window of recently exited modes plus the loop mode; with one it
+  keeps only the (exiting, loop) pair and produces exact joint homodyne
+  samples by sequential conditioning.
+* ``run_loop_per_shot_jitter`` runs the sampler once per shot with explicit
+  random phases in place of the averaged jitter channel.
 
 Transmissivities below 1/2 are realized on the flipped-sign branch of the
 variable splitter, which the compiler compensates via 180-degree phase
@@ -74,6 +79,53 @@ def _pulse_variances(setting: BinSetting, source: SqueezerSpec) -> tuple[float, 
     return g.VACUUM_VARIANCE, g.VACUUM_VARIANCE
 
 
+def _channels(noise: NoiseConfig) -> tuple[float, float, float]:
+    """(detection efficiency, loop transmittance, jitter std) per bin.
+
+    NoiseConfig forces ideal mode to (1, 1, 0), which turns every channel off.
+    """
+    return (noise.detection_efficiency, 1.0 - noise.loop_loss_per_trip,
+            noise.phase_jitter_deg_per_trip)
+
+
+def _bin_step(cov: np.ndarray, mean: np.ndarray, exit_slot: int, loop_slot: int,
+              coupling: np.ndarray, theta_deg: float,
+              channels: tuple[float, float, float],
+              moments: np.ndarray | None = None) -> np.ndarray | None:
+    """One time bin on raw arrays; the pulse already sits in ``loop_slot``.
+
+    ``exit_slot`` holds the loop content on entry and the exiting mode on
+    return.  ``moments`` is passed through to the dephasing channel; the
+    loop mode's second moment used there is returned (None without jitter).
+    """
+    det_eta, loop_eta, sigma = channels
+    g._apply_pair_inplace(cov, mean, exit_slot, loop_slot, coupling)
+    g._apply_rotation_inplace(cov, mean, loop_slot, theta_deg)
+    if det_eta < 1.0:
+        g._apply_loss_inplace(cov, mean, exit_slot, det_eta)
+    if loop_eta < 1.0:
+        g._apply_loss_inplace(cov, mean, loop_slot, loop_eta)
+    if sigma > 0.0:
+        return g._apply_dephasing_inplace(cov, mean, loop_slot, sigma, moments)
+    return None
+
+
+def _load_pulse(cov: np.ndarray, mean: np.ndarray, slot: int,
+                variances: tuple[float, float]) -> None:
+    """Overwrite ``slot`` with a fresh uncorrelated zero-mean pulse."""
+    q = g._quads(slot)
+    cov[q, :] = 0.0
+    cov[:, q] = 0.0
+    cov[q, q] = np.diag(variances)
+    mean[..., q] = 0.0
+
+
+def _drop_leading_mode(cov: np.ndarray, mean: np.ndarray, dim: int) -> None:
+    """Marginalize slot 0 out of the leading ``dim`` quadratures."""
+    cov[:dim - 2, :dim - 2] = cov[2:dim, 2:dim]
+    mean[:dim - 2] = mean[2:dim]
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One exited mode: either a windowed analytic state or sampled values.
@@ -108,36 +160,18 @@ def run_unrolled(schedule: ControlSchedule, source: SqueezerSpec) -> GaussianSta
         raise ValueError(
             f"{num_bins} bins exceeds the dense reference limit of "
             f"{MAX_UNROLLED_BINS}; use run_loop")
-    noise = schedule.noise
-    realistic = noise.mode == "realistic"
+    channels = _channels(schedule.noise)
 
-    # slot 0: initial loop content (vacuum); slot k: pulse arriving at bin k
+    # slot 0: initial loop content (vacuum); slot k: pulse arriving at bin k,
+    # which exits the previous loop content, slot k - 1
     dim = 2 * (num_bins + 1)
     cov = g.VACUUM_VARIANCE * np.eye(dim)
     mean = np.zeros(dim)
     for k, setting in enumerate(schedule.bins, start=1):
-        var_x, var_p = _pulse_variances(setting, source)
-        cov[2 * k, 2 * k] = var_x
-        cov[2 * k + 1, 2 * k + 1] = var_p
-
-    loop_slot = 0
-    for k, setting in enumerate(schedule.bins, start=1):
-        g._apply_pair_inplace(cov, mean, loop_slot, k, bin_coupling(setting.T))
-        exit_slot, loop_slot = loop_slot, k
-        g._apply_rotation_inplace(cov, mean, loop_slot, setting.theta_deg)
-        if realistic:
-            if k >= 2 and noise.detection_efficiency < 1.0:
-                g._apply_loss_inplace(cov, mean, exit_slot,
-                                      noise.detection_efficiency)
-            if noise.loop_loss_per_trip > 0.0:
-                g._apply_loss_inplace(cov, mean, loop_slot,
-                                      1.0 - noise.loop_loss_per_trip)
-            if noise.phase_jitter_deg_per_trip > 0.0:
-                g._apply_dephasing_inplace(cov, mean, loop_slot,
-                                           noise.phase_jitter_deg_per_trip)
-
-    keep = [q for m in range(1, num_bins) for q in (2 * m, 2 * m + 1)]
-    return GaussianState(mean[keep], cov[np.ix_(keep, keep)])
+        _load_pulse(cov, mean, k, _pulse_variances(setting, source))
+        _bin_step(cov, mean, k - 1, k, bin_coupling(setting.T),
+                  setting.theta_deg, channels)
+    return GaussianState(mean[2:-2], cov[2:-2, 2:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -145,104 +179,69 @@ def run_unrolled(schedule: ControlSchedule, source: SqueezerSpec) -> GaussianSta
 # ---------------------------------------------------------------------------
 
 
-class _LiveState:
-    """Raw-array state for the streaming paths: exited modes then loop, last."""
+def _window_stream(schedule: ControlSchedule, source: SqueezerSpec,
+                   window: int, channels, faulty: bool) -> Iterator[RunRecord]:
+    """Analytic stream over a (window + 1)-mode buffer."""
+    size = 2 * (window + 1)
+    cov = np.zeros((size, size))
+    mean = np.zeros(size)
+    cov[:2, :2] = g.VACUUM_VARIANCE * np.eye(2)  # the initial loop content
+    held = 0  # exited modes in slots 0..held-1; the loop mode sits in slot held
+    for k, setting in enumerate(schedule.bins, start=1):
+        if held == window:
+            _drop_leading_mode(cov, mean, 2 * (held + 1))
+            held -= 1
+        dim = 2 * (held + 2)
+        active, active_mean = cov[:dim, :dim], mean[:dim]
+        _load_pulse(active, active_mean, held + 1, _pulse_variances(setting, source))
+        _bin_step(active, active_mean, held, held + 1,
+                  bin_coupling(setting.T, faulty), setting.theta_deg, channels)
+        if k == 1:
+            _drop_leading_mode(cov, mean, dim)  # pre-existing loop content
+            continue
+        held += 1
+        yield RunRecord(index=k - 1, exit_bin=k, phi_deg=setting.phi_deg,
+                        window_modes=tuple(range(k - held, k)),
+                        state=GaussianState(mean[:2 * held],
+                                            cov[:2 * held, :2 * held]))
 
-    def __init__(self, shots: int | None):
-        self.cov = g.VACUUM_VARIANCE * np.eye(2)  # the initial loop content
-        self.shots = shots
-        self.means = np.zeros((shots, 2)) if shots else None
 
-    @property
-    def num_slots(self) -> int:
-        return self.cov.shape[0] // 2
+def _sample_stream(schedule: ControlSchedule, source: SqueezerSpec,
+                   angles_deg, shots: int, thetas_deg, channels,
+                   rng: np.random.Generator,
+                   faulty: bool = False) -> Iterator[np.ndarray]:
+    """Yield each output mode's homodyne draws, one per shot.
 
-    def append_pulse(self, var_x: float, var_p: float) -> None:
-        d = self.cov.shape[0]
-        cov = np.zeros((d + 2, d + 2))
-        cov[:d, :d] = self.cov
-        cov[d, d] = var_x
-        cov[d + 1, d + 1] = var_p
-        self.cov = cov
-        if self.means is not None:
-            self.means = np.hstack([self.means, np.zeros((self.shots, 2))])
-
-    def couple(self, i: int, j: int, coupling: np.ndarray) -> None:
-        idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-        s = np.kron(coupling, np.eye(2))
-        self.cov[idx, :] = s @ self.cov[idx, :]
-        self.cov[:, idx] = self.cov[:, idx] @ s.T
-        if self.means is not None:
-            self.means[:, idx] = self.means[:, idx] @ s.T
-
-    def rotate(self, slot: int, theta_deg: float) -> None:
-        r = g.rotation_matrix(theta_deg)
-        idx = [2 * slot, 2 * slot + 1]
-        self.cov[idx, :] = r @ self.cov[idx, :]
-        self.cov[:, idx] = self.cov[:, idx] @ r.T
-        if self.means is not None:
-            self.means[:, idx] = self.means[:, idx] @ r.T
-
-    def loss(self, slot: int, eta: float) -> None:
-        idx = [2 * slot, 2 * slot + 1]
-        root = np.sqrt(eta)
-        block = self.cov[np.ix_(idx, idx)].copy()
-        self.cov[idx, :] *= root
-        self.cov[:, idx] *= root
-        self.cov[np.ix_(idx, idx)] = eta * block \
-            + (1.0 - eta) * g.VACUUM_VARIANCE * np.eye(2)
-        if self.means is not None:
-            self.means[:, idx] *= root
-
-    def dephase(self, slot: int, sigma_deg: float,
-                ref_block: np.ndarray | None = None) -> None:
-        """Averaged jitter channel on one slot.
-
-        When ``ref_block`` is given (the unconditioned covariance block of
-        the same slot from a reference propagation), the additive part of
-        the channel is taken from it, which keeps a conditioned covariance
-        consistent with the unconditioned second moments.
-        """
-        e1, c2, s2 = g.dephasing_moments(sigma_deg)
-        ix, ip = 2 * slot, 2 * slot + 1
-        src = ref_block if ref_block is not None \
-            else self.cov[np.ix_([ix, ip], [ix, ip])].copy()
-        noise = np.array([
-            [(c2 - e1 * e1) * src[0, 0] + s2 * src[1, 1], (c2 - s2 - e1 * e1) * src[0, 1]],
-            [(c2 - s2 - e1 * e1) * src[0, 1], s2 * src[0, 0] + (c2 - e1 * e1) * src[1, 1]],
-        ])
-        self.cov[[ix, ip], :] *= e1
-        self.cov[:, [ix, ip]] *= e1
-        self.cov[np.ix_([ix, ip], [ix, ip])] += noise
-        if self.means is not None:
-            self.means[:, [ix, ip]] *= e1
-
-    def block(self, slot: int) -> np.ndarray:
-        idx = [2 * slot, 2 * slot + 1]
-        return self.cov[np.ix_(idx, idx)].copy()
-
-    def drop(self, slot: int) -> None:
-        idx = [2 * slot, 2 * slot + 1]
-        self.cov = np.delete(np.delete(self.cov, idx, axis=0), idx, axis=1)
-        if self.means is not None:
-            self.means = np.delete(self.means, idx, axis=1)
-
-    def measure_x(self, slot: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw the x quadrature of ``slot`` per shot, condition, drop it."""
-        ix = 2 * slot
-        var = self.cov[ix, ix]
-        if var < 1e-12:
-            raise ValueError("measured quadrature variance is singular")
-        draws = self.means[:, ix] + np.sqrt(var) * rng.standard_normal(self.shots)
-        gain = self.cov[:, ix] / var
-        self.means = self.means + np.outer(draws - self.means[:, ix], gain)
-        self.cov = self.cov - np.outer(self.cov[:, ix], self.cov[ix, :]) / var
-        self.drop(slot)
-        return draws
-
-    def snapshot(self, slots: list[int]) -> GaussianState:
-        idx = [q for m in slots for q in (2 * m, 2 * m + 1)]
-        return GaussianState(np.zeros(len(idx)), self.cov[np.ix_(idx, idx)])
+    The (exiting, loop) pair lives in two slots whose roles swap every bin;
+    per-shot conditional means share one covariance.  With jitter, an
+    unconditioned twin covariance is stepped first and supplies the
+    dephasing channel's second moments, which the conditioned means could
+    only estimate.
+    """
+    cov = g.VACUUM_VARIANCE * np.eye(4)  # slot 0: the initial loop content
+    means = np.zeros((shots, 4))
+    twin = g.VACUUM_VARIANCE * np.eye(4) if channels[2] > 0.0 else None
+    twin_mean = np.zeros(4)
+    loop_slot = 0
+    for k, (setting, theta) in enumerate(zip(schedule.bins, thetas_deg), start=1):
+        exit_slot, loop_slot = loop_slot, 1 - loop_slot
+        variances = _pulse_variances(setting, source)
+        coupling = bin_coupling(setting.T, faulty)
+        moments = None
+        if twin is not None:
+            _load_pulse(twin, twin_mean, loop_slot, variances)
+            moments = _bin_step(twin, twin_mean, exit_slot, loop_slot,
+                                coupling, theta, channels)
+        _load_pulse(cov, means, loop_slot, variances)
+        _bin_step(cov, means, exit_slot, loop_slot, coupling, theta, channels,
+                  moments)
+        if k == 1:
+            continue  # the exiting slot is overwritten by the next pulse
+        g._apply_rotation_inplace(cov, means, exit_slot, -angles_deg[k - 2])
+        ix = 2 * exit_slot
+        draws = means[:, ix] + np.sqrt(cov[ix, ix]) * rng.standard_normal(shots)
+        g._condition_on_x(cov, means, exit_slot, draws)
+        yield draws
 
 
 def run_loop(schedule: ControlSchedule, source: SqueezerSpec, window: int = 8,
@@ -265,63 +264,18 @@ def run_loop(schedule: ControlSchedule, source: SqueezerSpec, window: int = 8,
             f"plan has {len(sampling.angles_deg)} angles but the schedule "
             f"produces {num_outputs} outputs")
 
-    noise = schedule.noise
-    realistic = noise.mode == "realistic"
     faulty = "bs-sign" in _ACTIVE_FAULTS
-    rng = np.random.default_rng(seed)
-
-    live = _LiveState(shots=sampling.shots if sampling else None)
-    # Unconditioned twin of the sampling state; its loop block feeds the
-    # dephasing noise term so conditioning never distorts second moments.
-    ref = _LiveState(shots=None) if sampling else None
-    window_modes: list[int] = []
-
-    for k, setting in enumerate(schedule.bins, start=1):
-        var_x, var_p = _pulse_variances(setting, source)
-        for st in (live, ref) if ref is not None else (live,):
-            st.append_pulse(var_x, var_p)
-            loop_slot = st.num_slots - 1
-            exit_slot = loop_slot - 1
-            st.couple(exit_slot, loop_slot, bin_coupling(setting.T, faulty))
-            st.rotate(loop_slot, setting.theta_deg)
-        if realistic and k >= 2 and noise.detection_efficiency < 1.0:
-            for st in (live, ref) if ref is not None else (live,):
-                st.loss(st.num_slots - 2, noise.detection_efficiency)
-        if realistic and noise.loop_loss_per_trip > 0.0:
-            for st in (live, ref) if ref is not None else (live,):
-                st.loss(st.num_slots - 1, 1.0 - noise.loop_loss_per_trip)
-        if realistic and noise.phase_jitter_deg_per_trip > 0.0:
-            if ref is not None:
-                ref_block = ref.block(ref.num_slots - 1)
-                ref.dephase(ref.num_slots - 1, noise.phase_jitter_deg_per_trip)
-                live.dephase(live.num_slots - 1, noise.phase_jitter_deg_per_trip,
-                             ref_block=ref_block)
-            else:
-                live.dephase(live.num_slots - 1, noise.phase_jitter_deg_per_trip)
-
-        if k == 1:
-            live.drop(live.num_slots - 2)  # pre-existing loop content
-            if ref is not None:
-                ref.drop(ref.num_slots - 2)
-            continue
-
-        mode_index = k - 1
-        phi = sampling.angles_deg[mode_index - 1] if sampling else setting.phi_deg
-        if sampling:
-            exit_slot = live.num_slots - 2
-            live.rotate(exit_slot, -phi)
-            values = live.measure_x(exit_slot, rng)
-            ref.drop(ref.num_slots - 2)
-            yield RunRecord(index=mode_index, exit_bin=k, phi_deg=phi,
-                            values=values)
-        else:
-            window_modes.append(mode_index)
-            if len(window_modes) > window:
-                window_modes.pop(0)
-                live.drop(0)
-            yield RunRecord(index=mode_index, exit_bin=k, phi_deg=phi,
-                            window_modes=tuple(window_modes),
-                            state=live.snapshot(list(range(len(window_modes)))))
+    channels = _channels(schedule.noise)
+    if sampling is None:
+        yield from _window_stream(schedule, source, window, channels, faulty)
+        return
+    columns = _sample_stream(schedule, source, sampling.angles_deg,
+                             sampling.shots, schedule.thetas(), channels,
+                             np.random.default_rng(seed), faulty)
+    for index, (phi, values) in enumerate(zip(sampling.angles_deg, columns),
+                                          start=1):
+        yield RunRecord(index=index, exit_bin=index + 1, phi_deg=phi,
+                        values=values)
 
 
 def run_loop_sampled(schedule: ControlSchedule, source: SqueezerSpec,
@@ -336,40 +290,23 @@ def run_loop_per_shot_jitter(schedule: ControlSchedule, source: SqueezerSpec,
                              plan: MeasurementPlan, seed=None) -> SampleSet:
     """Sampling run with explicit random phase jitter per shot and trip.
 
-    Slow path (one sequential simulation per shot) drawing an actual
-    rotation angle for every round trip instead of using the averaged
-    channel; the two must agree on second moments.
+    Slow path (one sampler run per shot) drawing an actual rotation angle
+    for every round trip instead of using the averaged channel; the two
+    must agree on second moments.  Each shot draws its phases before its
+    homodyne outcomes.
     """
-    noise = schedule.noise
-    realistic = noise.mode == "realistic"
     if len(plan.angles_deg) != schedule.num_outputs:
         raise ValueError("plan length mismatch")
     rng = np.random.default_rng(seed)
-    sigma = noise.phase_jitter_deg_per_trip
+    det_eta, loop_eta, sigma = _channels(schedule.noise)
+    thetas = np.array(schedule.thetas())
     values = np.zeros((plan.shots, schedule.num_outputs))
-
     for shot in range(plan.shots):
-        live = _LiveState(shots=1)
-        for k, setting in enumerate(schedule.bins, start=1):
-            var_x, var_p = _pulse_variances(setting, source)
-            live.append_pulse(var_x, var_p)
-            loop_slot = live.num_slots - 1
-            exit_slot = loop_slot - 1
-            live.couple(exit_slot, loop_slot, bin_coupling(setting.T))
-            theta = setting.theta_deg
-            if realistic and sigma > 0.0:
-                theta += rng.normal(0.0, sigma)  # one jitter draw per trip
-            live.rotate(loop_slot, theta)
-            if realistic and k >= 2 and noise.detection_efficiency < 1.0:
-                live.loss(exit_slot, noise.detection_efficiency)
-            if realistic and noise.loop_loss_per_trip > 0.0:
-                live.loss(loop_slot, 1.0 - noise.loop_loss_per_trip)
-            if k == 1:
-                live.drop(exit_slot)
-                continue
-            phi = plan.angles_deg[k - 2]
-            live.rotate(exit_slot, -phi)
-            values[shot, k - 2] = live.measure_x(exit_slot, rng)[0]
+        drawn = thetas + rng.normal(0.0, sigma, thetas.size) if sigma > 0.0 \
+            else thetas
+        values[shot] = np.concatenate(list(_sample_stream(
+            schedule, source, plan.angles_deg, 1, drawn,
+            (det_eta, loop_eta, 0.0), rng)))
     return SampleSet(plan, values)
 
 

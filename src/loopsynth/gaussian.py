@@ -172,36 +172,44 @@ def squeezed_vacuum(spec: SqueezerSpec) -> GaussianState:
 
 # ---------------------------------------------------------------------------
 # raw-array channel updates, shared by the public ops and the loop engine
+#
+# Each update acts in place on a covariance matrix and on a mean indexed as
+# mean[..., q]: either one 2N vector or a (shots, 2N) stack of per-shot
+# conditional means, which all share the one covariance.
 # ---------------------------------------------------------------------------
+
+
+def _quads(mode: int) -> slice:
+    return slice(_x(mode), _p(mode) + 1)
 
 
 def _apply_pair_inplace(cov: np.ndarray, mean: np.ndarray, i: int, j: int,
                         coupling: np.ndarray) -> None:
     idx = [_x(i), _p(i), _x(j), _p(j)]
     s = np.kron(coupling, np.eye(2))
-    cov[np.ix_(idx, range(cov.shape[0]))] = s @ cov[idx, :]
-    cov[np.ix_(range(cov.shape[0]), idx)] = cov[:, idx] @ s.T
-    mean[idx] = s @ mean[idx]
+    cov[idx, :] = s @ cov[idx, :]
+    cov[:, idx] = cov[:, idx] @ s.T
+    mean[..., idx] = mean[..., idx] @ s.T
 
 
 def _apply_rotation_inplace(cov: np.ndarray, mean: np.ndarray, mode: int,
                             theta_deg: float) -> None:
     r = rotation_matrix(theta_deg)
-    idx = [_x(mode), _p(mode)]
-    cov[np.ix_(idx, range(cov.shape[0]))] = r @ cov[idx, :]
-    cov[np.ix_(range(cov.shape[0]), idx)] = cov[:, idx] @ r.T
-    mean[idx] = r @ mean[idx]
+    q = _quads(mode)
+    cov[q, :] = r @ cov[q, :]
+    cov[:, q] = cov[:, q] @ r.T
+    mean[..., q] = mean[..., q] @ r.T
 
 
 def _apply_loss_inplace(cov: np.ndarray, mean: np.ndarray, mode: int,
                         eta: float) -> None:
-    idx = [_x(mode), _p(mode)]
+    q = _quads(mode)
     root = np.sqrt(eta)
-    block = cov[np.ix_(idx, idx)].copy()
-    cov[idx, :] *= root
-    cov[:, idx] *= root
-    cov[np.ix_(idx, idx)] = eta * block + (1.0 - eta) * VACUUM_VARIANCE * np.eye(2)
-    mean[idx] *= root
+    block = cov[q, q].copy()
+    cov[q, :] *= root
+    cov[:, q] *= root
+    cov[q, q] = eta * block + (1.0 - eta) * VACUUM_VARIANCE * np.eye(2)
+    mean[..., q] *= root
 
 
 def dephasing_moments(sigma_deg: float) -> tuple[float, float, float]:
@@ -213,43 +221,51 @@ def dephasing_moments(sigma_deg: float) -> tuple[float, float, float]:
 
 
 def _apply_dephasing_inplace(cov: np.ndarray, mean: np.ndarray, mode: int,
-                             sigma_deg: float, mean_term: bool = True) -> None:
-    """Moment-averaged random-rotation channel on one mode.
+                             sigma_deg: float,
+                             moments: np.ndarray | None = None) -> np.ndarray:
+    """Moment-averaged random-rotation channel on one mode; returns S.
 
-    With mean_term=False the mean is contracted but its randomization is not
-    folded back into the covariance; this linear-Gaussian surrogate keeps the
-    covariance independent of conditioning outcomes (used by the sampling
-    engine, identical to the full channel for zero-mean states).
+    With R a rotation by a centered Gaussian angle of std sigma and
+    e1 = E[cos], the mode's covariance block B becomes
+
+        e1^2 B + E[R S R^T] - e1^2 S,
+
+    its cross-covariances and mean scale by e1, and S is the mode's 2x2
+    second moment about zero.  By default S = B + mu mu^T from a single
+    mean vector, the exact average of the state.  A caller holding per-shot
+    conditional means passes the unconditioned S instead, which keeps the
+    shared covariance independent of the outcomes.
     """
     e1, c2, s2 = dephasing_moments(sigma_deg)
-    ix, ip = _x(mode), _p(mode)
-    bxx, bpp, bxp = cov[ix, ix], cov[ip, ip], cov[ix, ip]
-    block = np.array([[c2 * bxx + s2 * bpp, (c2 - s2) * bxp],
-                      [(c2 - s2) * bxp, s2 * bxx + c2 * bpp]])
-    if mean_term:
-        mu = mean[[ix, ip]]
-        gmu = np.array([mu[1], -mu[0]])
-        block += c2 * np.outer(mu, mu) + s2 * np.outer(gmu, gmu) \
-            - e1 * e1 * np.outer(mu, mu)
-    cov[[ix, ip], :] *= e1
-    cov[:, [ix, ip]] *= e1
-    cov[np.ix_([ix, ip], [ix, ip])] = block
-    mean[[ix, ip]] *= e1
+    q = _quads(mode)
+    if moments is None:
+        mu = mean[q]
+        moments = cov[q, q] + np.outer(mu, mu)
+    sxx, spp, sxp = moments[0, 0], moments[1, 1], moments[0, 1]
+    noise = np.array([
+        [(c2 - e1 * e1) * sxx + s2 * spp, (c2 - s2 - e1 * e1) * sxp],
+        [(c2 - s2 - e1 * e1) * sxp, s2 * sxx + (c2 - e1 * e1) * spp],
+    ])
+    cov[q, :] *= e1
+    cov[:, q] *= e1
+    cov[q, q] += noise
+    mean[..., q] *= e1
+    return moments
 
 
 def _condition_on_x(cov: np.ndarray, mean: np.ndarray, mode: int,
-                    outcome: float) -> tuple[np.ndarray, np.ndarray]:
-    """Condition on the x quadrature of `mode`, then drop the mode."""
+                    outcome) -> None:
+    """Condition on x of `mode` taking `outcome` (one per mean row), in place.
+
+    The measured mode is left with zero x variance; the caller drops it.
+    """
     ix = _x(mode)
     var = cov[ix, ix]
     if var < 1e-12:
         raise ValueError("measured quadrature variance is singular")
     gain = cov[:, ix] / var
-    cov2 = cov - np.outer(cov[:, ix], cov[ix, :]) / var
-    mean2 = mean + gain * (outcome - mean[ix])
-    drop = (ix, _p(mode))
-    keep = [k for k in range(cov.shape[0]) if k not in drop]
-    return cov2[np.ix_(keep, keep)], mean2[keep]
+    mean += np.multiply.outer(outcome - mean[..., ix], gain)
+    cov -= np.outer(cov[:, ix], cov[ix, :]) / var
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +328,7 @@ def apply_dephasing(state: GaussianState, mode: int, sigma_deg: float) -> Gaussi
     if sigma_deg < 0:
         raise ValueError("jitter std-dev must be >= 0")
     cov, mean = state.cov.copy(), state.mean.copy()
-    _apply_dephasing_inplace(cov, mean, mode, sigma_deg, mean_term=True)
+    _apply_dephasing_inplace(cov, mean, mode, sigma_deg)
     return GaussianState(mean, cov)
 
 
@@ -346,8 +362,9 @@ def homodyne_condition(state: GaussianState, mode: int, phi_deg: float,
     _check_mode(state, mode)
     cov, mean = state.cov.copy(), state.mean.copy()
     _apply_rotation_inplace(cov, mean, mode, -phi_deg)
-    cov2, mean2 = _condition_on_x(cov, mean, mode, float(outcome))
-    return GaussianState(mean2, cov2)
+    _condition_on_x(cov, mean, mode, float(outcome))
+    keep = [q for m in range(state.num_modes) if m != mode for q in (_x(m), _p(m))]
+    return GaussianState(mean[keep], cov[np.ix_(keep, keep)])
 
 
 def _sqrt_psd(mat: np.ndarray) -> np.ndarray:

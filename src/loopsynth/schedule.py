@@ -9,6 +9,7 @@ keys are rejected with the offending location in the message.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 SOURCES = ("squeezer", "vacuum", "blocked")
@@ -107,7 +108,14 @@ _BIN_KEYS = ("T", "theta_deg", "phi_deg", "source")
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScheduleFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ScheduleFormatError(
+            f"{where}: expected a finite number, got {number!r}")
+    return number
 
 
 def _reject_unknown(obj: dict, allowed, where: str) -> None:

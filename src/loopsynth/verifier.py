@@ -242,28 +242,6 @@ def estimate(samples: SampleSet, spec: NullifierSpec) -> Estimate:
     return Estimate(value=value, stderr=stderr, shots=n)
 
 
-def measurement_plan(specs, num_modes: int | None = None,
-                     shots: int = 5000) -> MeasurementPlan:
-    """Single plan measuring every quadrature a spec (or family) needs.
-
-    Raises if any mode would need both x and p in one run.  Modes the specs
-    do not constrain are measured at 0 degrees.
-    """
-    if isinstance(specs, NullifierSpec):
-        specs = [specs]
-    required: dict[int, float] = {}
-    for spec in specs:
-        for mode, quad, _ in spec.terms:
-            want = 0.0 if quad == "x" else 90.0
-            if required.setdefault(mode, want) != want:
-                raise ValueError(
-                    f"mode {mode} would need both x and p in one run")
-    if num_modes is None:
-        num_modes = max(required)
-    angles = [required.get(m, 0.0) for m in range(1, num_modes + 1)]
-    return MeasurementPlan(tuple(angles), shots=shots)
-
-
 def plan_measurements(criteria, num_modes: int,
                       shots: int = 5000) -> list[tuple[MeasurementPlan, list[NullifierSpec]]]:
     """Greedily group the criteria's nullifiers into compatible plans."""

@@ -5,7 +5,8 @@ from loopsynth.compiler import TargetState, compile_target
 from loopsynth.engine import (epr_pair, inject_fault, memory_experiment,
                               run_loop, run_loop_per_shot_jitter,
                               run_loop_sampled, run_unrolled)
-from loopsynth.gaussian import MeasurementPlan, SqueezerSpec, squeezed_vacuum
+from loopsynth.gaussian import (MeasurementPlan, SqueezerSpec, marginalize,
+                                squeezed_vacuum)
 from loopsynth.schedule import BinSetting, ControlSchedule, NoiseConfig
 from loopsynth.verifier import (estimate, linear_cluster_oracle_cov,
                                 nullifiers_for, stream_nullifier_variances,
@@ -27,9 +28,13 @@ def random_schedule(rng, n=None, realistic=None):
         loop_loss_per_trip=float(rng.uniform(0.0, 0.15)),
         phase_jitter_deg_per_trip=float(rng.uniform(0.0, 12.0)),
         detection_efficiency=float(rng.uniform(0.7, 1.0)))
-    bins = tuple(BinSetting(T=float(rng.uniform(0.0, 1.0)),
-                            theta_deg=float(rng.uniform(0.0, 360.0)))
-                 for _ in range(n + 1))
+    # exact 0, 1/2 and 1 hit the branch and storage corners of bin_coupling
+    bins = tuple(BinSetting(
+        T=float(rng.choice((0.0, 0.5, 1.0)) if rng.random() < 0.3
+                else rng.uniform(0.0, 1.0)),
+        theta_deg=float(rng.uniform(0.0, 360.0)),
+        source=str(rng.choice(("squeezer", "squeezer", "vacuum", "blocked"))))
+        for _ in range(n + 1))
     return ControlSchedule(bins=bins, noise=noise)
 
 
@@ -78,12 +83,17 @@ def test_unrolled_rejects_oversized_schedules():
 
 def test_loop_matches_chain_on_random_schedules():
     rng = np.random.default_rng(404)
-    for _ in range(40):
-        sched = random_schedule(rng)
+    for trial in range(40):
+        sched = random_schedule(rng, realistic=bool(trial % 2))
         n = sched.num_outputs
         dense = run_unrolled(sched, SOURCE)
         windowed = final_windowed_state(sched, SOURCE, window=n + 2)
         assert np.max(np.abs(dense.cov - windowed.cov)) < 1e-10
+        # a window of 3 shifts out old modes; each record must match the
+        # dense chain's marginal over the same modes
+        for record in run_loop(sched, SOURCE, window=3):
+            part = marginalize(dense, [m - 1 for m in record.window_modes])
+            assert np.max(np.abs(part.cov - record.state.cov)) < 1e-10
 
 
 def test_window_size_does_not_change_results():

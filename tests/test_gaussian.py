@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopsynth import gaussian as g
 from loopsynth.gaussian import (GaussianState, MeasurementPlan, SqueezerSpec,
                                 apply_beamsplitter, apply_dephasing,
                                 apply_loss, apply_phase, homodyne_condition,
@@ -387,6 +388,37 @@ def test_conditioning_rejects_singular_variance():
     state = GaussianState(np.zeros(4), cov)
     with pytest.raises(ValueError, match="singular"):
         homodyne_condition(state, 0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# raw updates on stacked per-shot means
+# ---------------------------------------------------------------------------
+
+
+def test_raw_updates_act_row_by_row_on_stacked_means():
+    # the sampler keeps one mean row per shot under one shared covariance
+    base = random_state(21)
+    rng = np.random.default_rng(22)
+    means = rng.normal(size=(4, 6))
+    outcomes = rng.normal(size=4)
+    moments = np.array([[0.4, 0.05], [0.05, 0.3]])
+    updates = {
+        "pair": lambda c, m, _: g._apply_pair_inplace(
+            c, m, 0, 2, g.beamsplitter_matrix(0.3)),
+        "rotation": lambda c, m, _: g._apply_rotation_inplace(c, m, 1, 37.0),
+        "loss": lambda c, m, _: g._apply_loss_inplace(c, m, 2, 0.8),
+        "dephasing": lambda c, m, _: g._apply_dephasing_inplace(
+            c, m, 1, 9.0, moments),
+        "condition": lambda c, m, out: g._condition_on_x(c, m, 0, out),
+    }
+    for name, update in updates.items():
+        cov, stacked = base.cov.copy(), means.copy()
+        update(cov, stacked, outcomes)
+        for row in range(len(means)):
+            cov_row, mean_row = base.cov.copy(), means[row].copy()
+            update(cov_row, mean_row, outcomes[row])
+            assert np.allclose(cov, cov_row, rtol=0, atol=1e-14), name
+            assert np.allclose(stacked[row], mean_row, rtol=0, atol=1e-14), name
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,24 @@ def test_malformed_number_reports_location():
         parse_schedule('{"bins": [{"T": 1.0}, {"T": oops}]}')
 
 
-def test_non_numeric_field_reports_path():
-    with pytest.raises(ScheduleFormatError, match=r"bins\[0\]\.T"):
-        parse_schedule('{"bins": [{"T": "high"}, {"T": 1.0}]}')
+@pytest.mark.parametrize("text, message", [
+    ('{"bins": [{"T": "high"}, {"T": 1.0}]}', r"bins\[0\]\.T: expected a number"),
+    ('{"tau_ns": Infinity, "bins": [{"T": 1.0}, {"T": 1.0}]}',
+     "tau_ns: expected a finite number, got inf"),
+    ('{"bins": [{"T": 1.0, "theta_deg": NaN}, {"T": 1.0}]}',
+     r"bins\[0\]\.theta_deg: expected a finite number, got nan"),
+    ('{"bins": [{"T": 1.0, "phi_deg": -Infinity}, {"T": 1.0}]}',
+     r"bins\[0\]\.phi_deg: expected a finite number, got -inf"),
+    ('{"noise": {"phase_jitter_deg_per_trip": Infinity},'
+     ' "bins": [{"T": 1.0}, {"T": 1.0}]}',
+     "noise.phase_jitter_deg_per_trip: expected a finite number, got inf"),
+    ('{"bins": [{"T": 1.0, "theta_deg": -1' + "0" * 400 + '}, {"T": 1.0}]}',
+     r"bins\[0\]\.theta_deg: expected a finite number, got -inf"),
+], ids=["string", "tau-inf", "theta-nan", "phi-neginf", "jitter-inf",
+        "theta-huge-int"])
+def test_non_numeric_field_reports_path(text, message):
+    with pytest.raises(ScheduleFormatError, match=message):
+        parse_schedule(text)
 
 
 def test_single_bin_rejected():

@@ -10,9 +10,9 @@ from loopsynth.schedule import NoiseConfig
 from loopsynth.verifier import (CALIBRATION_TARGETS, NullifierSpec,
                                 calibrate_efficiency,
                                 cluster_nullifier, estimate,
-                                linear_cluster_oracle_cov, measurement_plan,
-                                nullifiers_for, plan_measurements,
-                                stream_nullifier_variances, variance_analytic)
+                                linear_cluster_oracle_cov, nullifiers_for,
+                                plan_measurements, stream_nullifier_variances,
+                                variance_analytic)
 
 SOURCE = SqueezerSpec(5.0, 8.0)
 
@@ -167,7 +167,7 @@ def test_vacuum_estimate_reproduces_expected_stderr():
 def test_estimate_consistent_with_analytic():
     state = run_unrolled(compile_target(TargetState.linear_cluster(3)), SOURCE)
     spec = cluster_nullifier(2)
-    plan = measurement_plan([spec], num_modes=3, shots=20_000)
+    [(plan, _)] = plan_measurements([spec], num_modes=3, shots=20_000)
     samples = sample_quadratures(state, plan, seed=55)
     result = estimate(samples, spec)
     assert result.value == pytest.approx(variance_analytic(state, spec),
@@ -190,25 +190,20 @@ def test_estimate_rejects_wrong_basis():
 
 def test_measurement_plan_for_epr_terms():
     spec = NullifierSpec(((1, "x", 1.0), (2, "x", -1.0)))
-    assert measurement_plan([spec], num_modes=2).angles_deg == (0.0, 0.0)
+    [(plan, _)] = plan_measurements([spec], num_modes=2)
+    assert plan.angles_deg == (0.0, 0.0)
 
 
 def test_measurement_plan_even_family_alternates():
     even = [cluster_nullifier(k) for k in (2, 4)]
-    plan = measurement_plan(even, num_modes=5)
+    [(plan, _)] = plan_measurements(even, num_modes=5)
     assert plan.angles_deg == (0.0, 90.0, 0.0, 90.0, 0.0)
 
 
 def test_measurement_plan_odd_family_is_parity_shifted():
     odd = [cluster_nullifier(k) for k in (1, 3)]
-    plan = measurement_plan(odd, num_modes=4)
+    [(plan, _)] = plan_measurements(odd, num_modes=4)
     assert plan.angles_deg == (90.0, 0.0, 90.0, 0.0)
-
-
-def test_measurement_plan_conflict_raises():
-    with pytest.raises(ValueError, match="both x and p"):
-        measurement_plan([cluster_nullifier(1), cluster_nullifier(2)],
-                         num_modes=3)
 
 
 def test_plan_measurements_splits_cluster_family_by_parity():
