@@ -7,9 +7,8 @@ verifies entanglement through nullifier and inseparability criteria, both
 analytically and by Monte-Carlo homodyne sampling.
 """
 
-from .compiler import (FeasibilityReport, HardwareModel, TargetState,
-                       compile_target, delta_for_transmissivity, fibonacci,
-                       hardware_check)
+from .compiler import (FeasibilityReport, TargetState, compile_target,
+                       delta_for_transmissivity, fibonacci, hardware_check)
 from .engine import (RunRecord, epr_pair, memory_experiment, run_loop,
                      run_loop_per_shot_jitter, run_loop_sampled, run_unrolled)
 from .gaussian import (GaussianState, MeasurementPlan, SampleSet, SqueezerSpec,
@@ -30,7 +29,7 @@ from .waveform import (TraceFrame, WaveformConfig, extract_quadratures,
 
 __all__ = [
     "BinSetting", "CalibrationResult", "ControlSchedule", "Estimate",
-    "FeasibilityReport", "GaussianState", "HardwareModel",
+    "FeasibilityReport", "GaussianState",
     "InseparabilitySpec", "MeasurementPlan", "NoiseConfig", "NullifierSpec",
     "RunRecord", "SampleSet", "ScheduleFormatError", "SqueezerSpec",
     "TargetState", "TraceFrame", "WaveformConfig", "apply_beamsplitter",

@@ -6,6 +6,11 @@ Commands:
   memory     sweep the storage experiment over delays
   selfcheck  run the built-in consistency suite
 
+verify evaluates every criterion, paired or single, from the streaming
+engine at any schedule length: the analytic column from one windowed run
+whose window spans the widest nullifier, the sampled column from one
+sampling run per compatible measurement plan.
+
 Exit codes: 0 success, 1 usage or parse error, 2 hardware infeasibility
 under --strict-hardware, 3 selfcheck failure.  All tabular outputs are CSV
 with fixed columns; identical seeds and flags produce byte-identical files.
@@ -20,16 +25,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verifier
 from .compiler import TargetState, compile_target, hardware_check
-from .engine import MAX_UNROLLED_BINS, memory_experiment, run_loop_sampled, run_unrolled
+from .engine import memory_experiment, run_loop_sampled
 from .gaussian import SqueezerSpec
 from .schedule import (ControlSchedule, NoiseConfig, ScheduleFormatError,
                        parse_schedule, serialize_schedule)
 from .selfcheck import run_selfcheck
-from .verifier import (InseparabilitySpec, estimate, nullifiers_for,
-                       plan_measurements, stream_nullifier_variances,
-                       variance_analytic)
+from .verifier import (criterion_parts, estimate, nullifiers_for,
+                       plan_measurements, stream_nullifier_variances)
+# unused here, but perfbench/tracing.py rebinds both names on this module
+from .engine import run_unrolled  # noqa: F401
+from .verifier import variance_analytic  # noqa: F401
 
 _TARGET_CHOICES = ("epr", "ghz", "star", "cluster1d", "cluster2", "infinite")
 
@@ -161,30 +167,21 @@ def _sampled_estimates(schedule, source, criteria, shots, seed) -> dict:
     return results
 
 
-def _pair_rows(schedule, source, criteria, shots, seed) -> list[ReportRow]:
-    state = run_unrolled(schedule, source)
+def _report_rows(schedule, source, criteria, shots, seed) -> list[ReportRow]:
+    """One row per criterion: its parts' analytic and sampled variances summed."""
+    parts = [criterion_parts(crit) for crit in criteria]
+    specs = list(dict.fromkeys(spec for crit_parts in parts for spec in crit_parts))
+    analytic = dict(zip(specs, stream_nullifier_variances(schedule, source, specs)))
     results = _sampled_estimates(schedule, source, criteria, shots, seed)
     rows = []
-    for crit in criteria:
-        analytic = variance_analytic(state, crit.first) \
-            + variance_analytic(state, crit.second)
-        a, b = results[crit.first], results[crit.second]
+    for crit, crit_parts in zip(criteria, parts):
+        estimates = [results[spec] for spec in crit_parts]
         rows.append(ReportRow(
-            label=crit.label, analytic=analytic, sampled=a.value + b.value,
-            stderr=float(np.hypot(a.stderr, b.stderr)),
+            label=crit.label, analytic=sum(analytic[spec] for spec in crit_parts),
+            sampled=sum(e.value for e in estimates),
+            stderr=float(np.hypot.reduce([e.stderr for e in estimates])),
             threshold=crit.threshold))
     return rows
-
-
-def _nullifier_rows(schedule, source, specs, shots, seed, window) -> list[ReportRow]:
-    analytic = stream_nullifier_variances(schedule, source, specs, window=window)
-    results = _sampled_estimates(schedule, source, specs, shots, seed)
-    return [
-        ReportRow(label=spec.label, analytic=ana, sampled=results[spec].value,
-                  stderr=results[spec].stderr,
-                  threshold=verifier.NULLIFIER_THRESHOLD)
-        for spec, ana in zip(specs, analytic)
-    ]
 
 
 def _cmd_verify(args, argv) -> int:
@@ -215,17 +212,8 @@ def _cmd_verify(args, argv) -> int:
     try:
         name, target = _infer_target(schedule)
         source = SqueezerSpec(args.squeeze_db, args.antisqueeze_db)
-        criteria = nullifiers_for(target)
-        if criteria and isinstance(criteria[0], InseparabilitySpec):
-            if len(schedule.bins) > MAX_UNROLLED_BINS:
-                print("error: paired criteria need a dense reference run; "
-                      f"schedule has {len(schedule.bins)} bins", file=sys.stderr)
-                return 1
-            rows = _pair_rows(schedule, source, criteria, args.shots,
-                              args.seed)
-        else:
-            rows = _nullifier_rows(schedule, source, criteria, args.shots,
-                                   args.seed, args.window)
+        rows = _report_rows(schedule, source, nullifiers_for(target),
+                            args.shots, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -239,7 +227,7 @@ def _cmd_verify(args, argv) -> int:
         f"jitter/trip {noise.phase_jitter_deg_per_trip} deg, "
         f"detection efficiency {noise.detection_efficiency})",
         f"source: {args.squeeze_db} dB squeeze / {args.antisqueeze_db} dB antisqueeze",
-        f"shots: {args.shots}   seed: {args.seed}   window: {args.window}",
+        f"shots: {args.shots}   seed: {args.seed}",
     ]
     print("\n".join(header))
     width = max(len(r.label) for r in rows) + 2
@@ -326,7 +314,6 @@ def _build_parser() -> _Parser:
     v.add_argument("schedule")
     v.add_argument("--shots", type=int, default=5000)
     v.add_argument("--seed", type=int, default=12345)
-    v.add_argument("--window", type=int, default=8)
     group = v.add_mutually_exclusive_group()
     group.add_argument("--ideal", action="store_true",
                        help="force the noise-free model")

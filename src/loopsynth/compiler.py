@@ -131,21 +131,7 @@ def compile_target(target: TargetState,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HardwareModel:
-    """Realizable control levels of the two modulators.
-
-    Each modulator's drive can take the net values {0, v1, v2, v1+v2} with
-    v1, v2 > 0 chosen freely in advance, so besides the default level at
-    most three distinct nonzero values are realizable, and three only when
-    the largest equals the sum of the other two.  The beam splitter angle
-    delta maps to transmissivity via T = sin^2(delta + 45 deg), with
-    delta in [90, 135] deg (and a sign flip) for T < 1/2.
-    """
-
-    switch_ns: float = 20.0
-    processing_ns: float = 46.0
-    tolerance: float = 1e-9
+LEVEL_TOLERANCE = 1e-9  # degrees; closer drive levels count as one
 
 
 @dataclass(frozen=True)
@@ -208,17 +194,21 @@ def _axis_report(name: str, values: list[float], tol: float) -> AxisReport:
     return AxisReport(name, tuple(req), False, None)
 
 
-def hardware_check(schedule: ControlSchedule,
-                   model: HardwareModel | None = None) -> FeasibilityReport:
+def hardware_check(schedule: ControlSchedule) -> FeasibilityReport:
     """Check whether one pair of free drive levels per axis covers the schedule.
 
-    Infeasibility is reported, not raised.
+    Each modulator's drive can take the net values {0, v1, v2, v1+v2} with
+    v1, v2 > 0 chosen freely in advance, so besides the default level at
+    most three distinct nonzero values are realizable, and three only when
+    the largest equals the sum of the other two.  The beam splitter angle
+    delta maps to transmissivity via T = sin^2(delta + 45 deg), with
+    delta in [90, 135] deg (and a sign flip) for T < 1/2.  Infeasibility
+    is reported, not raised.
     """
-    model = model or HardwareModel()
     deltas = [delta_for_transmissivity(b.T) for b in schedule.bins]
     thetas = [b.theta_deg % 360.0 for b in schedule.bins]
-    delta_rep = _axis_report("delta", deltas, model.tolerance)
-    theta_rep = _axis_report("theta", thetas, model.tolerance)
+    delta_rep = _axis_report("delta", deltas, LEVEL_TOLERANCE)
+    theta_rep = _axis_report("theta", thetas, LEVEL_TOLERANCE)
     return FeasibilityReport(
         feasible=delta_rep.feasible and theta_rep.feasible,
         delta=delta_rep,

@@ -106,16 +106,13 @@ _BIN_KEYS = ("T", "theta_deg", "phi_deg", "source")
 
 
 def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # every JSON number arrives as a float (parse_int=float), so bools fail here
+    if not isinstance(value, float):
         raise ScheduleFormatError(f"{where}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf if value > 0 else -math.inf
-    if not math.isfinite(number):
+    if not math.isfinite(value):
         raise ScheduleFormatError(
-            f"{where}: expected a finite number, got {number!r}")
-    return number
+            f"{where}: expected a finite number, got {value!r}")
+    return value
 
 
 def _reject_unknown(obj: dict, allowed, where: str) -> None:
@@ -127,7 +124,9 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
 def parse_schedule(text: str) -> ControlSchedule:
     """Parse a schedule document; errors carry the JSON path of the problem."""
     try:
-        doc = json.loads(text)
+        # integer literals parse as floats: huge ones become +-inf, which is
+        # rejected with its path, instead of tripping the int digit limit
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ScheduleFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc

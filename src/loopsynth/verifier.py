@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,6 +41,7 @@ class NullifierSpec:
 
     terms: tuple[tuple[int, str, float], ...]
     label: str = ""
+    threshold: ClassVar[float] = NULLIFIER_THRESHOLD
 
     def __post_init__(self):
         object.__setattr__(self, "terms",
@@ -96,6 +98,13 @@ class InseparabilitySpec:
 
     def vacuum_variance(self) -> float:
         return self.first.vacuum_variance() + self.second.vacuum_variance()
+
+
+def criterion_parts(crit) -> tuple[NullifierSpec, ...]:
+    """The nullifiers whose variances make up a criterion's value."""
+    if isinstance(crit, InseparabilitySpec):
+        return (crit.first, crit.second)
+    return (crit,)
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ def _coefficient_vector(spec: NullifierSpec, num_modes: int,
                         mode_map: dict[int, int] | None) -> np.ndarray:
     c = np.zeros(2 * num_modes)
     for mode, quad, coeff in spec.terms:
-        col = mode_map[mode] if mode_map is not None else mode - 1
+        col = mode_map.get(mode) if mode_map is not None else mode - 1
         if col is None or not 0 <= col < num_modes:
             raise ValueError(f"mode {mode} not present in state")
         c[2 * col + (0 if quad == "x" else 1)] += coeff
@@ -207,12 +216,9 @@ def variance_analytic(state: GaussianState, spec: NullifierSpec,
     """Variance of the spec's combination, second moment about zero.
 
     mode_map translates the spec's 1-based mode labels to state columns;
-    by default mode k is column k-1.
+    by default mode k is column k-1.  A mode outside the state raises
+    ValueError.
     """
-    for mode in spec.modes():
-        col = mode_map[mode] if mode_map is not None else mode - 1
-        if not 0 <= col < state.num_modes:
-            raise ValueError(f"mode {mode} not present in state")
     c = _coefficient_vector(spec, state.num_modes, mode_map)
     value = float(c @ state.cov @ c)
     shift = float(c @ state.mean)
@@ -245,15 +251,7 @@ def estimate(samples: SampleSet, spec: NullifierSpec) -> Estimate:
 def plan_measurements(criteria, num_modes: int,
                       shots: int = 5000) -> list[tuple[MeasurementPlan, list[NullifierSpec]]]:
     """Greedily group the criteria's nullifiers into compatible plans."""
-    specs: list[NullifierSpec] = []
-    for crit in criteria:
-        if isinstance(crit, InseparabilitySpec):
-            for spec in (crit.first, crit.second):
-                if spec not in specs:
-                    specs.append(spec)
-        elif crit not in specs:
-            specs.append(crit)
-
+    specs = dict.fromkeys(spec for crit in criteria for spec in criterion_parts(crit))
     groups: list[tuple[dict[int, float], list[NullifierSpec]]] = []
     for spec in specs:
         want = {m: (0.0 if q == "x" else 90.0) for m, q, _ in spec.terms}
@@ -321,30 +319,40 @@ def linear_cluster_oracle_cov(n: int, source: SqueezerSpec) -> GaussianState:
 
 
 def stream_nullifier_variances(schedule: ControlSchedule, source: SqueezerSpec,
-                               specs, window: int = 3) -> list[float]:
+                               specs, window: int | None = None) -> list[float]:
     """Analytic variance of each spec from a windowed streaming run.
 
-    Each spec is evaluated at the first record whose window covers all of
-    its modes; the window must be large enough for the widest spec.
+    Each spec is evaluated at the record of its newest mode, whose window
+    then holds all of the spec's modes.  The window defaults to the widest
+    spec span (at least 3); marginalising out older modes is exact, so a
+    wider window costs more and changes values only at round-off.  Specs
+    with a mode outside the outputs or a span wider than the window are
+    rejected before the run.
     """
-    pending = {i: set(spec.modes()) for i, spec in enumerate(specs)}
-    values: dict[int, float] = {}
-    for record in run_loop(schedule, source, window=window):
-        covered = set(record.window_modes)
-        mode_map = {m: i for i, m in enumerate(record.window_modes)}
-        done = []
-        for i, modes in pending.items():
-            if modes <= covered:
-                values[i] = variance_analytic(record.state, specs[i], mode_map)
-                done.append(i)
-        for i in done:
-            del pending[i]
-        if not pending:
-            break
-    if pending:
-        missing = [specs[i].label for i in sorted(pending)]
+    spans = [(min(modes), max(modes)) for modes in (spec.modes() for spec in specs)]
+    if window is None:
+        window = max([3] + [newest - oldest + 1 for oldest, newest in spans])
+    by_newest: dict[int, list[int]] = {}
+    missing = []
+    for i, (oldest, newest) in enumerate(spans):
+        if oldest < 1 or newest > schedule.num_outputs \
+                or newest - oldest + 1 > window:
+            missing.append(specs[i].label)
+        else:
+            by_newest.setdefault(newest, []).append(i)
+    if missing:
         raise ValueError(f"window never covered: {', '.join(missing)}")
-    return [values[i] for i in range(len(specs))]
+
+    values = [0.0] * len(specs)
+    last = max(by_newest, default=0)
+    for record in run_loop(schedule, source, window=window):
+        if record.index in by_newest:
+            mode_map = {m: i for i, m in enumerate(record.window_modes)}
+            for i in by_newest[record.index]:
+                values[i] = variance_analytic(record.state, specs[i], mode_map)
+        if record.index >= last:
+            break
+    return values
 
 
 CALIBRATION_TARGETS: tuple[tuple[str, TargetState, int, float], ...] = (

@@ -5,7 +5,10 @@ import pytest
 
 from loopsynth.cli import main
 from loopsynth.compiler import TargetState, compile_target
-from loopsynth.schedule import parse_schedule
+from loopsynth.engine import run_unrolled
+from loopsynth.gaussian import SqueezerSpec
+from loopsynth.schedule import NoiseConfig, parse_schedule
+from loopsynth.verifier import criterion_parts, nullifiers_for, variance_analytic
 
 
 def read_csv_rows(path):
@@ -85,6 +88,39 @@ def test_verify_is_byte_deterministic(tmp_path):
         b.read_bytes().replace(b"b.csv", b"")
     assert a.read_bytes().replace(b"a.csv", b"") != \
         c.read_bytes().replace(b"c.csv", b"")
+
+
+@pytest.mark.parametrize("name, n, target", [
+    ("epr", 2, TargetState.epr()),
+    ("ghz", 3, TargetState.ghz(3)),
+    ("ghz", 5, TargetState.ghz(5)),
+    ("star", 4, TargetState.star_cluster(4)),
+    ("cluster1d", 2, TargetState.linear_cluster(2)),
+    ("cluster1d", 3, TargetState.linear_cluster(3)),
+], ids=["epr", "ghz3", "ghz5", "star4", "linear2", "linear3"])
+def test_verify_analytic_column_matches_dense_reference(tmp_path, name, n, target):
+    sched = tmp_path / "s.json"
+    csv = tmp_path / "s.csv"
+    main(["compile", name, "--n", str(n), "-o", str(sched)])
+    assert main(["verify", str(sched), "--realistic", "--shots", "200",
+                 "--csv", str(csv)]) == 0
+    state = run_unrolled(compile_target(target, noise=NoiseConfig(mode="realistic")),
+                         SqueezerSpec(5.0, 8.0))
+    criteria = nullifiers_for(target)
+    rows = read_csv_rows(csv)
+    assert [r["criterion"] for r in rows] == [c.label for c in criteria]
+    for row, crit in zip(rows, criteria):
+        dense = sum(variance_analytic(state, spec) for spec in criterion_parts(crit))
+        assert float(row["analytic"]) == pytest.approx(dense, abs=1e-12)
+
+
+def test_verify_ghz_beyond_dense_reference_limit(tmp_path):
+    sched = tmp_path / "ghz25.json"
+    csv = tmp_path / "ghz25.csv"
+    main(["compile", "ghz", "--n", "25", "-o", str(sched)])
+    assert len(parse_schedule(sched.read_text()).bins) == 26
+    assert main(["verify", str(sched), "--shots", "500", "--csv", str(csv)]) == 0
+    assert len(read_csv_rows(csv)) == 300  # one row per pair of the 25 modes
 
 
 def test_verify_vacuum_source_fails_criteria(tmp_path):

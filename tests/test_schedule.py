@@ -77,8 +77,10 @@ def test_malformed_number_reports_location():
      "noise.phase_jitter_deg_per_trip: expected a finite number, got inf"),
     ('{"bins": [{"T": 1.0, "theta_deg": -1' + "0" * 400 + '}, {"T": 1.0}]}',
      r"bins\[0\]\.theta_deg: expected a finite number, got -inf"),
+    ('{"bins": [{"T": ' + "1" * 5000 + '}, {"T": 1}]}',
+     r"bins\[0\]\.T: expected a finite number, got inf"),
 ], ids=["string", "tau-inf", "theta-nan", "phi-neginf", "jitter-inf",
-        "theta-huge-int"])
+        "theta-huge-int", "T-over-int-digit-limit"])
 def test_non_numeric_field_reports_path(text, message):
     with pytest.raises(ScheduleFormatError, match=message):
         parse_schedule(text)

@@ -103,6 +103,12 @@ def test_relabeling_invariance():
         direct, abs=1e-14)
 
 
+def test_mode_missing_from_mode_map_raises_value_error():
+    state = run_unrolled(compile_target(TargetState.linear_cluster(3)), SOURCE)
+    with pytest.raises(ValueError, match="mode 3 not present"):
+        variance_analytic(state, cluster_nullifier(2), {1: 0, 2: 1})
+
+
 def test_passive_transforms_keep_vacuum_baselines():
     state = vacuum(3)
     state = apply_beamsplitter(state, 0, 1, 0.37)
@@ -242,8 +248,11 @@ def test_oracle_nullifiers_scale_with_squeezing():
 def test_stream_reports_uncoverable_specs():
     sched = compile_target(TargetState.linear_cluster(6))
     wide = NullifierSpec(((1, "x", 1.0), (6, "x", 1.0)))
-    with pytest.raises(ValueError, match="window never covered"):
-        stream_nullifier_variances(sched, SOURCE, [wide], window=3)
+    mode_0 = NullifierSpec(((0, "x", 1.0), (1, "x", 1.0)))
+    beyond_last_output = NullifierSpec(((6, "x", 1.0), (7, "x", 1.0)))
+    for spec in (wide, mode_0, beyond_last_output):
+        with pytest.raises(ValueError, match="window never covered"):
+            stream_nullifier_variances(sched, SOURCE, [spec], window=3)
 
 
 # ---------------------------------------------------------------------------
