@@ -252,6 +252,9 @@ def _cmd_verify(args, argv) -> int:
 
 
 def _cmd_memory(args, argv) -> int:
+    if args.shots < 2:  # the stderr column divides by shots - 1
+        print("error: shots must be >= 2", file=sys.stderr)
+        return 1
     if args.ideal:
         noise = NoiseConfig(mode="ideal")
     else:

@@ -58,14 +58,19 @@ class TargetState:
         return cls("infinite", length)
 
 
+def fibonacci_numbers(count: int) -> list[int]:
+    """[F(0), ..., F(count - 1)] as exact ints, built in one O(count) pass."""
+    fib = [0, 1][:count]
+    while len(fib) < count:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
 def fibonacci(k: int) -> int:
     """F(0) = 0, F(1) = 1, F(k) = F(k-1) + F(k-2)."""
     if k < 0:
         raise ValueError("negative index")
-    a, b = 0, 1
-    for _ in range(k):
-        a, b = b, a + b
-    return a
+    return fibonacci_numbers(k + 1)[k]
 
 
 def _flip_corrected(thetas: list[float], ts: list[float]) -> list[float]:
@@ -102,7 +107,8 @@ def compile_target(target: TargetState,
             thetas[n - 1] = 90.0
         phis = [0.0] * (n + 1)
     elif target.kind == "linear":
-        ts = [1.0] + [fibonacci(n - k + 2) / fibonacci(n - k + 3)
+        fib = fibonacci_numbers(n + 2)
+        ts = [1.0] + [fib[n - k + 2] / fib[n - k + 3]
                       for k in range(2, n + 1)] + [1.0]
         thetas = [90.0] * n
         phis = _cluster_phi(n)

@@ -16,15 +16,13 @@ The drivers differ only in which modes they keep:
   independent of the schedule length.  Without a measurement plan it keeps
   a sliding window of recently exited modes plus the loop mode; with one it
   keeps only the (exiting, loop) pair and produces exact joint homodyne
-  samples by sequential conditioning.
+  samples by sequential conditioning: one covariance is stepped per bin,
+  and the per-shot means move by that bin's transfer map in one matmul.
 * ``run_loop_per_shot_jitter`` runs the sampler once per shot with explicit
   random phases in place of the averaged jitter channel.
 
-Transmissivities below 1/2 are realized on the flipped-sign branch of the
-variable splitter, which the compiler compensates via 180-degree phase
-entries; this engine therefore applies the branch-dependent coupling.  A
-bin with T = 0 is a storage bin: the incoming pulse reflects and the loop
-mode circulates unchanged.
+The coupling is branch dependent (``bin_coupling``): T < 1/2 sits on the
+flipped-sign branch, which the compiler compensates with 180-degree phases.
 """
 
 from __future__ import annotations
@@ -62,15 +60,11 @@ def bin_coupling(transmissivity: float, faulty: bool = False) -> np.ndarray:
     as storage: pulse reflects out, loop mode unchanged.
     """
     t = float(transmissivity)
-    if faulty:
+    if faulty or t >= 0.5:
         return g.beamsplitter_matrix(t)
     if t == 0.0:
         return np.array([[0.0, 1.0], [1.0, 0.0]])
-    if t >= 0.5:
-        return g.beamsplitter_matrix(t)
-    root_t = np.sqrt(t)
-    root_r = np.sqrt(1.0 - t)
-    return np.array([[root_t, root_r], [-root_r, root_t]])
+    return g.beamsplitter_matrix(t) * [[1.0, -1.0], [-1.0, 1.0]]
 
 
 def _pulse_variances(setting: BinSetting, source: SqueezerSpec) -> tuple[float, float]:
@@ -80,10 +74,7 @@ def _pulse_variances(setting: BinSetting, source: SqueezerSpec) -> tuple[float, 
 
 
 def _channels(noise: NoiseConfig) -> tuple[float, float, float]:
-    """(detection efficiency, loop transmittance, jitter std) per bin.
-
-    NoiseConfig forces ideal mode to (1, 1, 0), which turns every channel off.
-    """
+    """(detection efficiency, loop transmittance, jitter std); ideal is (1, 1, 0)."""
     return (noise.detection_efficiency, 1.0 - noise.loop_loss_per_trip,
             noise.phase_jitter_deg_per_trip)
 
@@ -213,13 +204,17 @@ def _sample_stream(schedule: ControlSchedule, source: SqueezerSpec,
     """Yield each output mode's homodyne draws, one per shot.
 
     The (exiting, loop) pair lives in two slots whose roles swap every bin;
-    per-shot conditional means share one covariance.  With jitter, an
-    unconditioned twin covariance is stepped first and supplies the
-    dephasing channel's second moments, which the conditioned means could
-    only estimate.
+    per-shot conditional means share one covariance.  Every channel is
+    linear in the mean, so ``transfer`` (the identity over rows 0-3, then
+    the last draw's mean shift per unit innovation), stepped beside the
+    covariance, maps the ``(5, shots)`` predicted means and innovation in
+    one matmul.  With jitter, an unconditioned twin covariance is stepped
+    first and supplies the dephasing channel's second moments, which the
+    conditioned means could only estimate.
     """
     cov = g.VACUUM_VARIANCE * np.eye(4)  # slot 0: the initial loop content
-    means = np.zeros((shots, 4))
+    means = np.zeros((5, shots))
+    response = np.zeros(4)
     twin = g.VACUUM_VARIANCE * np.eye(4) if channels[2] > 0.0 else None
     twin_mean = np.zeros(4)
     loop_slot = 0
@@ -232,16 +227,19 @@ def _sample_stream(schedule: ControlSchedule, source: SqueezerSpec,
             _load_pulse(twin, twin_mean, loop_slot, variances)
             moments = _bin_step(twin, twin_mean, exit_slot, loop_slot,
                                 coupling, theta, channels)
-        _load_pulse(cov, means, loop_slot, variances)
-        _bin_step(cov, means, exit_slot, loop_slot, coupling, theta, channels,
-                  moments)
+        transfer = np.vstack((np.eye(4), response))
+        _load_pulse(cov, transfer, loop_slot, variances)
+        _bin_step(cov, transfer, exit_slot, loop_slot, coupling, theta,
+                  channels, moments)
         if k == 1:
-            continue  # the exiting slot is overwritten by the next pulse
-        g._apply_rotation_inplace(cov, means, exit_slot, -angles_deg[k - 2])
+            continue  # the means are still zero; the exit is discarded
+        g._apply_rotation_inplace(cov, transfer, exit_slot, -angles_deg[k - 2])
+        means[:4] = transfer.T @ means
         ix = 2 * exit_slot
-        draws = means[:, ix] + np.sqrt(cov[ix, ix]) * rng.standard_normal(shots)
-        g._condition_on_x(cov, means, exit_slot, draws)
-        yield draws
+        means[4] = np.sqrt(cov[ix, ix]) * rng.standard_normal(shots)
+        response = np.zeros(4)  # becomes the mean shift per unit innovation
+        g._condition_on_x(cov, response, exit_slot, 1.0)
+        yield means[ix] + means[4]
 
 
 def run_loop(schedule: ControlSchedule, source: SqueezerSpec, window: int = 8,
@@ -281,19 +279,19 @@ def run_loop(schedule: ControlSchedule, source: SqueezerSpec, window: int = 8,
 def run_loop_sampled(schedule: ControlSchedule, source: SqueezerSpec,
                      plan: MeasurementPlan, seed=None) -> SampleSet:
     """Collect a full sampling run into one shots-by-modes SampleSet."""
-    columns = [rec.values for rec in
-               run_loop(schedule, source, seed=seed, sampling=plan)]
-    return SampleSet(plan, np.column_stack(columns))
+    values = np.empty((len(plan.angles_deg), plan.shots))
+    for rec in run_loop(schedule, source, seed=seed, sampling=plan):
+        values[rec.index - 1] = rec.values
+    return SampleSet(plan, values.T)
 
 
 def run_loop_per_shot_jitter(schedule: ControlSchedule, source: SqueezerSpec,
                              plan: MeasurementPlan, seed=None) -> SampleSet:
     """Sampling run with explicit random phase jitter per shot and trip.
 
-    Slow path (one sampler run per shot) drawing an actual rotation angle
-    for every round trip instead of using the averaged channel; the two
-    must agree on second moments.  Each shot draws its phases before its
-    homodyne outcomes.
+    One sampler run per shot, with a drawn rotation angle per round trip in
+    place of the averaged channel (the two agree on second moments).  Each
+    shot draws its phases before its homodyne outcomes.
     """
     if len(plan.angles_deg) != schedule.num_outputs:
         raise ValueError("plan length mismatch")
@@ -341,18 +339,18 @@ def memory_experiment(n_delay: int, source: SqueezerSpec, noise: NoiseConfig,
     if accumulation not in ("random_walk", "linear"):
         raise ValueError(f"unknown accumulation {accumulation!r}")
     state = epr_pair(source)
+    c, mean = state.cov.copy(), state.mean.copy()  # NoiseConfig checked the rates
     if noise.mode == "realistic" and n_delay > 0:
         if noise.loop_loss_per_trip > 0.0:
-            state = g.apply_loss(state, 1,
-                                 (1.0 - noise.loop_loss_per_trip) ** n_delay)
+            g._apply_loss_inplace(c, mean, 1,
+                                  (1.0 - noise.loop_loss_per_trip) ** n_delay)
         if noise.phase_jitter_deg_per_trip > 0.0:
             scale = np.sqrt(n_delay) if accumulation == "random_walk" else n_delay
-            state = g.apply_dephasing(state, 1,
-                                      noise.phase_jitter_deg_per_trip * scale)
+            g._apply_dephasing_inplace(c, mean, 1,
+                                       noise.phase_jitter_deg_per_trip * scale)
     if noise.mode == "realistic" and noise.detection_efficiency < 1.0:
-        state = g.apply_loss(state, 0, noise.detection_efficiency)
-        state = g.apply_loss(state, 1, noise.detection_efficiency)
-    c = state.cov
+        g._apply_loss_inplace(c, mean, 0, noise.detection_efficiency)
+        g._apply_loss_inplace(c, mean, 1, noise.detection_efficiency)
     var_minus = c[0, 0] + c[2, 2] - 2.0 * c[0, 2]
     var_plus = c[1, 1] + c[3, 3] + 2.0 * c[1, 3]
     return float(var_minus + var_plus)

@@ -185,11 +185,18 @@ def _quads(mode: int) -> slice:
 
 def _apply_pair_inplace(cov: np.ndarray, mean: np.ndarray, i: int, j: int,
                         coupling: np.ndarray) -> None:
-    idx = [_x(i), _p(i), _x(j), _p(j)]
-    s = np.kron(coupling, np.eye(2))
-    cov[idx, :] = s @ cov[idx, :]
-    cov[:, idx] = cov[:, idx] @ s.T
-    mean[..., idx] = mean[..., idx] @ s.T
+    """Mix modes (i, j) by the 2x2 ``coupling``, identically on x and p.
+
+    The two modes' row blocks, then their column blocks, then their mean
+    entries are mixed as slices.
+    """
+    (a, b), (c, d) = coupling
+    qi, qj = _quads(i), _quads(j)
+    for u, v in ((cov[qi, :], cov[qj, :]), (cov[:, qi], cov[:, qj]),
+                 (mean[..., qi], mean[..., qj])):
+        u_in = u.copy()
+        u[...] = a * u + b * v
+        v[...] = c * u_in + d * v
 
 
 def _apply_rotation_inplace(cov: np.ndarray, mean: np.ndarray, mode: int,
@@ -289,10 +296,6 @@ def apply_phase(state: GaussianState, mode: int, theta_deg: float) -> GaussianSt
 def apply_beamsplitter(state: GaussianState, i: int, j: int,
                        transmissivity: float) -> GaussianState:
     """Couple modes i and j with the fixed-sign beam splitter convention."""
-    _check_mode(state, i)
-    _check_mode(state, j)
-    if i == j:
-        raise ValueError("beam splitter needs two distinct modes")
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError(f"transmissivity {transmissivity} outside [0, 1]")
     return apply_coupling(state, i, j, beamsplitter_matrix(transmissivity))
@@ -303,6 +306,8 @@ def apply_coupling(state: GaussianState, i: int, j: int,
     """Apply an orthogonal 2x2 mode coupling to (i, j), same on x and p."""
     _check_mode(state, i)
     _check_mode(state, j)
+    if i == j:
+        raise ValueError("a mode coupling needs two distinct modes")
     cov, mean = state.cov.copy(), state.mean.copy()
     _apply_pair_inplace(cov, mean, i, j, np.asarray(coupling, dtype=float))
     return GaussianState(mean, cov)

@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import gaussian as g
-from .compiler import TargetState, compile_target, fibonacci
+from .compiler import TargetState, compile_target, fibonacci_numbers
 from .engine import run_loop, run_unrolled
 from .gaussian import GaussianState, MeasurementPlan, SampleSet, SqueezerSpec
 from .schedule import ControlSchedule, NoiseConfig
@@ -285,7 +285,7 @@ def linear_cluster_oracle_cov(n: int, source: SqueezerSpec) -> GaussianState:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    fib = [fibonacci(k) for k in range(n + 2)]
+    fib = fibonacci_numbers(n + 2)
     u = np.zeros((n, n + 1), dtype=complex)
     for k in range(1, n + 1):
         u[k - 1, 0] = (1j ** k) * fib[n - k + 1] / math.sqrt(fib[n] * fib[n + 1])

@@ -188,6 +188,15 @@ def test_memory_jitter_and_loss_flags(tmp_path):
     assert all(v > 10.0 ** -0.5 for v in jitter + loss)
 
 
+@pytest.mark.parametrize("shots", ["0", "1"])
+def test_memory_rejects_fewer_than_two_shots(tmp_path, capsys, shots):
+    csv = tmp_path / "mem.csv"
+    rc = main(["memory", "--max-n", "1", "--shots", shots, "--csv", str(csv)])
+    assert rc == 1
+    assert "error: shots must be >= 2" in capsys.readouterr().err
+    assert not csv.exists()
+
+
 def test_selfcheck_passes_quickly(capsys):
     start = time.perf_counter()
     assert main(["selfcheck"]) == 0

@@ -73,6 +73,13 @@ def test_compile_linear4_fibonacci_ratios():
     assert ts == (1.0, 0.6, float(Fraction(2, 3)), 0.5, 1.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 300])
+def test_linear_transmissivities_are_exact_fibonacci_ratios(n):
+    ts, _ = seq(compile_target(TargetState.linear_cluster(n)))
+    assert ts[1:n] == tuple(fibonacci(n - k + 2) / fibonacci(n - k + 3)
+                            for k in range(2, n + 1))
+
+
 def test_compile_cluster2():
     for target in (TargetState.linear_cluster(2), TargetState.star_cluster(2)):
         ts, thetas = seq(compile_target(target))

@@ -5,7 +5,8 @@ from loopsynth.compiler import TargetState, compile_target
 from loopsynth.engine import (epr_pair, inject_fault, memory_experiment,
                               run_loop, run_loop_per_shot_jitter,
                               run_loop_sampled, run_unrolled)
-from loopsynth.gaussian import (MeasurementPlan, SqueezerSpec, marginalize,
+from loopsynth.gaussian import (MeasurementPlan, SqueezerSpec, apply_phase,
+                                homodyne_condition, marginalize,
                                 squeezed_vacuum)
 from loopsynth.schedule import BinSetting, ControlSchedule, NoiseConfig
 from loopsynth.verifier import (estimate, linear_cluster_oracle_cov,
@@ -185,6 +186,50 @@ def test_sampling_deterministic_under_seed():
     a = run_loop_sampled(sched, SOURCE, plan, seed=7)
     b = run_loop_sampled(sched, SOURCE, plan, seed=7)
     assert np.array_equal(a.values, b.values)
+
+
+def storage_schedule(noise):
+    # T = 0 storage bins, both branches and vacuum/blocked sources
+    settings = [(1.0, 90.0, "squeezer"), (0.0, 0.0, "blocked"),
+                (0.3, 37.0, "vacuum"), (0.5, 200.0, "squeezer"),
+                (0.0, 310.0, "blocked"), (0.8, 123.0, "squeezer"),
+                (0.62, 15.0, "squeezer"), (1.0, 0.0, "squeezer")]
+    return ControlSchedule(bins=tuple(
+        BinSetting(T=t, theta_deg=th, source=src) for t, th, src in settings),
+        noise=noise)
+
+
+def sequential_oracle_draws(schedule, plan, seed):
+    """Replay the sampler's per-output normals through dense conditioning."""
+    dense = run_unrolled(schedule, SOURCE)
+    rng = np.random.default_rng(seed)
+    normals = [rng.standard_normal(plan.shots) for _ in plan.angles_deg]
+    draws = np.zeros((plan.shots, len(plan.angles_deg)))
+    for shot in range(plan.shots):
+        state = dense
+        for k, phi in enumerate(plan.angles_deg):
+            measured = apply_phase(state, 0, -phi)
+            draws[shot, k] = (measured.mean[0]
+                              + np.sqrt(measured.cov[0, 0]) * normals[k][shot])
+            state = homodyne_condition(state, 0, phi, draws[shot, k])
+    return draws
+
+
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+@pytest.mark.parametrize("name", ["linear5", "ghz4", "star4", "storage"])
+def test_sampler_equals_sequential_dense_conditioning(name, mode):
+    noise = NoiseConfig(mode=mode)
+    targets = {"linear5": TargetState.linear_cluster(5),
+               "ghz4": TargetState.ghz(4), "star4": TargetState.star_cluster(4)}
+    sched = (storage_schedule(noise) if name == "storage"
+             else compile_target(targets[name], noise=noise))
+    rng = np.random.default_rng(len(name))
+    angles = [float(a) for a in rng.uniform(0.0, 360.0, sched.num_outputs)]
+    angles[:2] = [0.0, 90.0]
+    plan = MeasurementPlan(tuple(angles), shots=4)
+    sampled = run_loop_sampled(sched, SOURCE, plan, seed=61)
+    oracle = sequential_oracle_draws(sched, plan, seed=61)
+    assert np.max(np.abs(sampled.values - oracle)) < 1e-12
 
 
 def test_detection_efficiency_interpolates_toward_vacuum():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopsynth import gaussian as g
+from loopsynth.engine import bin_coupling
 from loopsynth.gaussian import (GaussianState, MeasurementPlan, SqueezerSpec,
                                 apply_beamsplitter, apply_dephasing,
                                 apply_loss, apply_phase, homodyne_condition,
@@ -149,6 +150,8 @@ def test_beamsplitter_rejects_bad_transmissivity():
 def test_beamsplitter_rejects_same_mode():
     with pytest.raises(ValueError):
         apply_beamsplitter(vacuum(2), 1, 1, 0.5)
+    with pytest.raises(ValueError, match="distinct"):
+        g.apply_coupling(vacuum(2), 1, 1, g.beamsplitter_matrix(0.5))
 
 
 @settings(max_examples=30, deadline=None)
@@ -419,6 +422,22 @@ def test_raw_updates_act_row_by_row_on_stacked_means():
             update(cov_row, mean_row, outcomes[row])
             assert np.allclose(cov, cov_row, rtol=0, atol=1e-14), name
             assert np.allclose(stacked[row], mean_row, rtol=0, atol=1e-14), name
+
+
+@pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (0, 3), (3, 1)])
+@pytest.mark.parametrize("transmissivity", [0.7, 0.3])
+def test_pair_update_equals_conjugation_by_embedded_kron(i, j, transmissivity):
+    # T = 0.3 takes the flipped-sign branch of the variable splitter
+    coupling = bin_coupling(transmissivity)
+    idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+    s = np.eye(8)
+    s[np.ix_(idx, idx)] = np.kron(coupling, np.eye(2))
+    base = random_state(31, num_modes=4)
+    means = np.random.default_rng(32).normal(size=(7, 8))
+    cov, stacked = base.cov.copy(), means.copy()
+    g._apply_pair_inplace(cov, stacked, i, j, coupling)
+    assert np.allclose(cov, s @ base.cov @ s.T, rtol=0, atol=1e-14)
+    assert np.allclose(stacked, means @ s.T, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
