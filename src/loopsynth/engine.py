@@ -10,14 +10,20 @@ The channel arithmetic itself lives in ``gaussian``.
 
 The drivers differ only in which modes they keep:
 
-* ``run_unrolled`` steps the dense equivalent chain (one mode per pulse) and
-  is the readable reference for small schedules.
+* ``run_unrolled`` steps the dense equivalent chain (one mode per pulse)
+  with ``_bin_step`` itself and is the independent reference for small
+  schedules.
 * ``run_loop`` streams bin by bin over a preallocated buffer, so memory is
-  independent of the schedule length.  Without a measurement plan it keeps
-  a sliding window of recently exited modes plus the loop mode; with one it
-  keeps only the (exiting, loop) pair and produces exact joint homodyne
-  samples by sequential conditioning: one covariance is stepped per bin,
-  and the per-shot means move by that bin's transfer map in one matmul.
+  independent of the schedule length.  A bin is an affine Gaussian channel
+  from the loop mode to the (exiting, new loop) pair, C -> L C L^T + Q
+  plus the dephasing noise; ``_bin_maps`` composes ``(L, Q)`` once per
+  distinct bin setting by running ``_bin_step`` on a two-mode pair, and
+  the streams apply it as one congruence per bin.  Without a measurement
+  plan the stream keeps a sliding window of recently exited modes plus the
+  loop mode; with one it keeps only the loop mode and produces exact joint
+  homodyne samples by sequential conditioning: one covariance is mapped per
+  bin, and the per-shot means move by that bin's composed map in one
+  matmul.
 * ``run_loop_per_shot_jitter`` runs the sampler once per shot with explicit
   random phases in place of the averaged jitter channel.
 
@@ -27,6 +33,8 @@ flipped-sign branch, which the compiler compensates with 180-degree phases.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -35,11 +43,14 @@ import numpy as np
 
 from . import gaussian as g
 from .gaussian import GaussianState, MeasurementPlan, SampleSet, SqueezerSpec
-from .schedule import BinSetting, ControlSchedule, NoiseConfig
+from .schedule import ControlSchedule, NoiseConfig
 
 MAX_UNROLLED_BINS = 24
 
 _ACTIVE_FAULTS: set[str] = set()
+
+_LOOP_UNITS = np.eye(2, 4)  # x and p of slot 0, stacked as two means
+_NO_MOMENTS = np.zeros((2, 2))  # builds a map without the dephasing noise
 
 
 @contextmanager
@@ -67,8 +78,8 @@ def bin_coupling(transmissivity: float, faulty: bool = False) -> np.ndarray:
     return g.beamsplitter_matrix(t) * [[1.0, -1.0], [-1.0, 1.0]]
 
 
-def _pulse_variances(setting: BinSetting, source: SqueezerSpec) -> tuple[float, float]:
-    if setting.source == "squeezer":
+def _pulse_variances(kind: str, source: SqueezerSpec) -> tuple[float, float]:
+    if kind == "squeezer":
         return source.variances()
     return g.VACUUM_VARIANCE, g.VACUUM_VARIANCE
 
@@ -82,12 +93,11 @@ def _channels(noise: NoiseConfig) -> tuple[float, float, float]:
 def _bin_step(cov: np.ndarray, mean: np.ndarray, exit_slot: int, loop_slot: int,
               coupling: np.ndarray, theta_deg: float,
               channels: tuple[float, float, float],
-              moments: np.ndarray | None = None) -> np.ndarray | None:
+              moments: np.ndarray | None = None) -> None:
     """One time bin on raw arrays; the pulse already sits in ``loop_slot``.
 
     ``exit_slot`` holds the loop content on entry and the exiting mode on
-    return.  ``moments`` is passed through to the dephasing channel; the
-    loop mode's second moment used there is returned (None without jitter).
+    return.  ``moments`` is passed through to the dephasing channel.
     """
     det_eta, loop_eta, sigma = channels
     g._apply_pair_inplace(cov, mean, exit_slot, loop_slot, coupling)
@@ -97,8 +107,7 @@ def _bin_step(cov: np.ndarray, mean: np.ndarray, exit_slot: int, loop_slot: int,
     if loop_eta < 1.0:
         g._apply_loss_inplace(cov, mean, loop_slot, loop_eta)
     if sigma > 0.0:
-        return g._apply_dephasing_inplace(cov, mean, loop_slot, sigma, moments)
-    return None
+        g._apply_dephasing_inplace(cov, mean, loop_slot, sigma, moments)
 
 
 def _load_pulse(cov: np.ndarray, mean: np.ndarray, slot: int,
@@ -107,14 +116,13 @@ def _load_pulse(cov: np.ndarray, mean: np.ndarray, slot: int,
     q = g._quads(slot)
     cov[q, :] = 0.0
     cov[:, q] = 0.0
-    cov[q, q] = np.diag(variances)
+    cov[q.start, q.start], cov[q.start + 1, q.start + 1] = variances
     mean[..., q] = 0.0
 
 
-def _drop_leading_mode(cov: np.ndarray, mean: np.ndarray, dim: int) -> None:
+def _drop_leading_mode(cov: np.ndarray, dim: int) -> None:
     """Marginalize slot 0 out of the leading ``dim`` quadratures."""
     cov[:dim - 2, :dim - 2] = cov[2:dim, 2:dim]
-    mean[:dim - 2] = mean[2:dim]
 
 
 @dataclass(frozen=True)
@@ -159,7 +167,7 @@ def run_unrolled(schedule: ControlSchedule, source: SqueezerSpec) -> GaussianSta
     cov = g.VACUUM_VARIANCE * np.eye(dim)
     mean = np.zeros(dim)
     for k, setting in enumerate(schedule.bins, start=1):
-        _load_pulse(cov, mean, k, _pulse_variances(setting, source))
+        _load_pulse(cov, mean, k, _pulse_variances(setting.source, source))
         _bin_step(cov, mean, k - 1, k, bin_coupling(setting.T),
                   setting.theta_deg, channels)
     return GaussianState(mean[2:-2], cov[2:-2, 2:-2])
@@ -170,30 +178,89 @@ def run_unrolled(schedule: ControlSchedule, source: SqueezerSpec) -> GaussianSta
 # ---------------------------------------------------------------------------
 
 
+def _bin_maps(source: SqueezerSpec, channels, faulty: bool):
+    """Per-run lookup of each bin setting's fused affine map ``(L, Q)``.
+
+    A bin sends the loop mode's quadratures r to the (exiting, new loop)
+    pair as L r plus zero-mean noise of covariance Q (pulse, loss and the
+    dephasing's e1 scaling), so a covariance C becomes L C L^T + Q.  Both
+    come from one ``_bin_step`` on a two-mode pair: the loop mode's unit
+    quadratures, stacked as means, give L, and a pulse-only covariance gives
+    Q.  The dephasing noise depends on the state and is added by the caller
+    (``_dephasing_after_map``).  Maps are built once per distinct
+    ``(T, theta, source)``; the cache is bounded so long non-repeating
+    schedules keep memory flat.
+    """
+    @functools.lru_cache(maxsize=1024)
+    def build(transmissivity: float, theta_deg: float, kind: str):
+        unit = _LOOP_UNITS.copy()
+        noise = np.zeros((4, 4))
+        _load_pulse(noise, unit, 1, _pulse_variances(kind, source))
+        _bin_step(noise, unit, 0, 1, bin_coupling(transmissivity, faulty),
+                  theta_deg, channels, _NO_MOMENTS)
+        lin = unit.T.copy()
+        lin.setflags(write=False)
+        noise.setflags(write=False)
+        return lin, noise
+    return build
+
+
+def _dephasing_after_map(sigma_deg: float):
+    """The averaged jitter's noise for a mapped loop block, None without jitter.
+
+    A fused map has already scaled the loop block to e1^2 S, where S is the
+    second moment the dephasing channel sees; the returned function takes
+    that block and gives the channel's added noise for S.
+    """
+    if sigma_deg <= 0.0:
+        return None
+    averages = g.dephasing_moments(sigma_deg)
+    e1_sq = averages[0] ** 2
+    return lambda block: g._dephasing_noise(block / e1_sq, averages)
+
+
+def _map_loop_mode(cov: np.ndarray, slot: int, bin_map, dephasing) -> None:
+    """Send the loop mode in ``slot`` of a zero-mean state through one bin.
+
+    One congruence by the fused map on the mode's rows and columns; slots
+    ``slot`` and ``slot + 1`` then hold the exiting and the new loop mode,
+    and whatever ``slot + 1`` held is replaced by the bin's pulse.
+    """
+    lin, noise = bin_map
+    lo = 2 * slot
+    loop, pair = slice(lo, lo + 2), slice(lo, lo + 4)
+    cov[pair, :] = lin @ cov[loop, :]
+    cov[:, pair] = cov[:, loop] @ lin.T
+    cov[pair, pair] += noise
+    if dephasing is not None:
+        block = cov[lo + 2:lo + 4, lo + 2:lo + 4]
+        block += dephasing(block)
+
+
 def _window_stream(schedule: ControlSchedule, source: SqueezerSpec,
                    window: int, channels, faulty: bool) -> Iterator[RunRecord]:
-    """Analytic stream over a (window + 1)-mode buffer."""
+    """Analytic stream over a (window + 1)-mode buffer; the mean stays zero."""
+    maps = _bin_maps(source, channels, faulty)
+    dephasing = _dephasing_after_map(channels[2])
     size = 2 * (window + 1)
     cov = np.zeros((size, size))
-    mean = np.zeros(size)
     cov[:2, :2] = g.VACUUM_VARIANCE * np.eye(2)  # the initial loop content
     held = 0  # exited modes in slots 0..held-1; the loop mode sits in slot held
     for k, setting in enumerate(schedule.bins, start=1):
         if held == window:
-            _drop_leading_mode(cov, mean, 2 * (held + 1))
+            _drop_leading_mode(cov, 2 * (held + 1))
             held -= 1
         dim = 2 * (held + 2)
-        active, active_mean = cov[:dim, :dim], mean[:dim]
-        _load_pulse(active, active_mean, held + 1, _pulse_variances(setting, source))
-        _bin_step(active, active_mean, held, held + 1,
-                  bin_coupling(setting.T, faulty), setting.theta_deg, channels)
+        _map_loop_mode(cov[:dim, :dim], held,
+                       maps(setting.T, setting.theta_deg, setting.source),
+                       dephasing)
         if k == 1:
-            _drop_leading_mode(cov, mean, dim)  # pre-existing loop content
+            _drop_leading_mode(cov, dim)  # pre-existing loop content
             continue
         held += 1
         yield RunRecord(index=k - 1, exit_bin=k, phi_deg=setting.phi_deg,
                         window_modes=tuple(range(k - held, k)),
-                        state=GaussianState(mean[:2 * held],
+                        state=GaussianState(np.zeros(2 * held),
                                             cov[:2 * held, :2 * held]))
 
 
@@ -203,43 +270,48 @@ def _sample_stream(schedule: ControlSchedule, source: SqueezerSpec,
                    faulty: bool = False) -> Iterator[np.ndarray]:
     """Yield each output mode's homodyne draws, one per shot.
 
-    The (exiting, loop) pair lives in two slots whose roles swap every bin;
-    per-shot conditional means share one covariance.  Every channel is
-    linear in the mean, so ``transfer`` (the identity over rows 0-3, then
-    the last draw's mean shift per unit innovation), stepped beside the
-    covariance, maps the ``(5, shots)`` predicted means and innovation in
-    one matmul.  With jitter, an unconditioned twin covariance is stepped
-    first and supplies the dephasing channel's second moments, which the
+    Only the loop mode carries over between bins.  Its covariance, shared
+    by the per-shot conditional means, goes through the bin's fused map to
+    the (exiting, loop) pair, whose exiting mode is rotated by -phi and
+    conditioned on its x draw.  The means are held as ``(3, shots)``: the
+    loop mode's two predicted means and the last innovation.  The map, the
+    rotation and the last draw's mean shift per unit innovation
+    (``response``) compose into one 3x3 step, so one matmul moves them per
+    bin.  With jitter, the unconditioned twin of the loop covariance is
+    mapped too and supplies the dephasing noise, whose second moments the
     conditioned means could only estimate.
     """
-    cov = g.VACUUM_VARIANCE * np.eye(4)  # slot 0: the initial loop content
-    means = np.zeros((5, shots))
-    response = np.zeros(4)
-    twin = g.VACUUM_VARIANCE * np.eye(4) if channels[2] > 0.0 else None
-    twin_mean = np.zeros(4)
-    loop_slot = 0
-    for k, (setting, theta) in enumerate(zip(schedule.bins, thetas_deg), start=1):
-        exit_slot, loop_slot = loop_slot, 1 - loop_slot
-        variances = _pulse_variances(setting, source)
-        coupling = bin_coupling(setting.T, faulty)
-        moments = None
+    maps = _bin_maps(source, channels, faulty)
+    dephasing = _dephasing_after_map(channels[2])
+    cov = g.VACUUM_VARIANCE * np.eye(2)  # the initial loop content
+    twin = cov if dephasing is not None else None
+    means = np.zeros((3, shots))
+    response = np.zeros(2)
+    phis = itertools.chain((None,), angles_deg)  # bin 1's exit is discarded
+    for setting, theta, phi in zip(schedule.bins, thetas_deg, phis):
+        lin, noise = maps(setting.T, theta, setting.source)
+        pair = lin @ cov @ lin.T + noise
         if twin is not None:
-            _load_pulse(twin, twin_mean, loop_slot, variances)
-            moments = _bin_step(twin, twin_mean, exit_slot, loop_slot,
-                                coupling, theta, channels)
-        transfer = np.vstack((np.eye(4), response))
-        _load_pulse(cov, transfer, loop_slot, variances)
-        _bin_step(cov, transfer, exit_slot, loop_slot, coupling, theta,
-                  channels, moments)
-        if k == 1:
-            continue  # the means are still zero; the exit is discarded
-        g._apply_rotation_inplace(cov, transfer, exit_slot, -angles_deg[k - 2])
-        means[:4] = transfer.T @ means
-        ix = 2 * exit_slot
-        means[4] = np.sqrt(cov[ix, ix]) * rng.standard_normal(shots)
-        response = np.zeros(4)  # becomes the mean shift per unit innovation
-        g._condition_on_x(cov, response, exit_slot, 1.0)
-        yield means[ix] + means[4]
+            twin = lin[2:] @ twin @ lin[2:].T + noise[2:, 2:]
+            added = dephasing(twin)
+            twin += added
+            pair[2:, 2:] += added
+        if phi is None:
+            cov = pair[2:, 2:]
+            continue
+        transfer = lin.T.copy()  # the loop mode's unit quadratures, mapped
+        g._apply_rotation_inplace(pair, transfer, 0, -phi)
+        step = np.empty((3, 3))
+        step[:, :2] = transfer.T[[2, 3, 0]]  # new loop x, p; exiting x
+        step[:, 2] = step[:, :2] @ response
+        means = step @ means
+        innovation = np.sqrt(pair[0, 0]) * rng.standard_normal(shots)
+        draws = means[2] + innovation
+        means[2] = innovation
+        gain = np.zeros(4)  # becomes the mean shift per unit innovation
+        g._condition_on_x(pair, gain, 0, 1.0)
+        cov, response = pair[2:, 2:], gain[2:]
+        yield draws
 
 
 def run_loop(schedule: ControlSchedule, source: SqueezerSpec, window: int = 8,
@@ -282,6 +354,7 @@ def run_loop_sampled(schedule: ControlSchedule, source: SqueezerSpec,
     values = np.empty((len(plan.angles_deg), plan.shots))
     for rec in run_loop(schedule, source, seed=seed, sampling=plan):
         values[rec.index - 1] = rec.values
+    values.setflags(write=False)  # SampleSet adopts a frozen array uncopied
     return SampleSet(plan, values.T)
 
 
@@ -305,6 +378,7 @@ def run_loop_per_shot_jitter(schedule: ControlSchedule, source: SqueezerSpec,
         values[shot] = np.concatenate(list(_sample_stream(
             schedule, source, plan.angles_deg, 1, drawn,
             (det_eta, loop_eta, 0.0), rng)))
+    values.setflags(write=False)
     return SampleSet(plan, values)
 
 

@@ -11,6 +11,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,8 @@ VACUUM_VARIANCE = 0.25
 # Symmetry is restored after every transform; PSD drift beyond this is a bug.
 SYMMETRY_TOL = 1e-8
 PSD_TOL = 1e-9
+
+_EYE2 = np.eye(2)
 
 
 def _x(mode: int) -> int:
@@ -136,6 +139,15 @@ class MeasurementPlan:
             raise ValueError("shots must be >= 2")
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """True if neither the array nor any array it views is writable."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Shot-by-shot quadrature samples, one column per measured mode."""
@@ -144,7 +156,12 @@ class SampleSet:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        # an array nobody can write (as the engine hands over) is adopted as
+        # is; anything else, e.g. a caller's writable buffer, is copied
+        values = self.values
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                and _frozen(values)):
+            values = np.array(values, dtype=float)
         if values.shape != (self.plan.shots, len(self.plan.angles_deg)):
             raise ValueError(
                 f"sample shape {values.shape} does not match plan "
@@ -180,7 +197,7 @@ def squeezed_vacuum(spec: SqueezerSpec) -> GaussianState:
 
 
 def _quads(mode: int) -> slice:
-    return slice(_x(mode), _p(mode) + 1)
+    return slice(2 * mode, 2 * mode + 2)
 
 
 def _apply_pair_inplace(cov: np.ndarray, mean: np.ndarray, i: int, j: int,
@@ -190,13 +207,15 @@ def _apply_pair_inplace(cov: np.ndarray, mean: np.ndarray, i: int, j: int,
     The two modes' row blocks, then their column blocks, then their mean
     entries are mixed as slices.
     """
-    (a, b), (c, d) = coupling
+    (a, b), (c, d) = coupling.tolist()
     qi, qj = _quads(i), _quads(j)
     for u, v in ((cov[qi, :], cov[qj, :]), (cov[:, qi], cov[:, qj]),
                  (mean[..., qi], mean[..., qj])):
         u_in = u.copy()
-        u[...] = a * u + b * v
-        v[...] = c * u_in + d * v
+        u *= a
+        u += b * v
+        v *= d
+        v += c * u_in
 
 
 def _apply_rotation_inplace(cov: np.ndarray, mean: np.ndarray, mode: int,
@@ -211,11 +230,11 @@ def _apply_rotation_inplace(cov: np.ndarray, mean: np.ndarray, mode: int,
 def _apply_loss_inplace(cov: np.ndarray, mean: np.ndarray, mode: int,
                         eta: float) -> None:
     q = _quads(mode)
-    root = np.sqrt(eta)
-    block = cov[q, q].copy()
+    root = math.sqrt(eta)
+    block = eta * cov[q, q]
     cov[q, :] *= root
     cov[:, q] *= root
-    cov[q, q] = eta * block + (1.0 - eta) * VACUUM_VARIANCE * np.eye(2)
+    cov[q, q] = block + (1.0 - eta) * VACUUM_VARIANCE * _EYE2
     mean[..., q] *= root
 
 
@@ -229,8 +248,8 @@ def dephasing_moments(sigma_deg: float) -> tuple[float, float, float]:
 
 def _apply_dephasing_inplace(cov: np.ndarray, mean: np.ndarray, mode: int,
                              sigma_deg: float,
-                             moments: np.ndarray | None = None) -> np.ndarray:
-    """Moment-averaged random-rotation channel on one mode; returns S.
+                             moments: np.ndarray | None = None) -> None:
+    """Moment-averaged random-rotation channel on one mode.
 
     With R a rotation by a centered Gaussian angle of std sigma and
     e1 = E[cos], the mode's covariance block B becomes
@@ -239,25 +258,35 @@ def _apply_dephasing_inplace(cov: np.ndarray, mean: np.ndarray, mode: int,
 
     its cross-covariances and mean scale by e1, and S is the mode's 2x2
     second moment about zero.  By default S = B + mu mu^T from a single
-    mean vector, the exact average of the state.  A caller holding per-shot
-    conditional means passes the unconditioned S instead, which keeps the
-    shared covariance independent of the outcomes.
+    mean vector, the exact average of the state.  A caller that adds the
+    noise itself (``_dephasing_noise``) passes S = 0, which leaves only the
+    e1 scaling; the engine's fused bin maps are built that way.
     """
-    e1, c2, s2 = dephasing_moments(sigma_deg)
+    averages = dephasing_moments(sigma_deg)
     q = _quads(mode)
     if moments is None:
         mu = mean[q]
         moments = cov[q, q] + np.outer(mu, mu)
-    sxx, spp, sxp = moments[0, 0], moments[1, 1], moments[0, 1]
-    noise = np.array([
+    e1 = averages[0]
+    cov[q, :] *= e1
+    cov[:, q] *= e1
+    cov[q, q] += _dephasing_noise(moments, averages)
+    mean[..., q] *= e1
+
+
+def _dephasing_noise(moments: np.ndarray,
+                     averages: tuple[float, float, float]) -> np.ndarray:
+    """The dephasing channel's added noise E[R S R^T] - e1^2 S.
+
+    ``moments`` is the mode's 2x2 second moment S before the channel and
+    ``averages`` is ``dephasing_moments(sigma)``.
+    """
+    e1, c2, s2 = averages
+    (sxx, sxp), (_, spp) = moments.tolist()
+    return np.array([
         [(c2 - e1 * e1) * sxx + s2 * spp, (c2 - s2 - e1 * e1) * sxp],
         [(c2 - s2 - e1 * e1) * sxp, s2 * sxx + (c2 - e1 * e1) * spp],
     ])
-    cov[q, :] *= e1
-    cov[:, q] *= e1
-    cov[q, q] += noise
-    mean[..., q] *= e1
-    return moments
 
 
 def _condition_on_x(cov: np.ndarray, mean: np.ndarray, mode: int,

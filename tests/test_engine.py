@@ -1,13 +1,17 @@
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from loopsynth import engine
 from loopsynth.compiler import TargetState, compile_target
 from loopsynth.engine import (epr_pair, inject_fault, memory_experiment,
                               run_loop, run_loop_per_shot_jitter,
                               run_loop_sampled, run_unrolled)
-from loopsynth.gaussian import (MeasurementPlan, SqueezerSpec, apply_phase,
-                                homodyne_condition, marginalize,
-                                squeezed_vacuum)
+from loopsynth.gaussian import (MeasurementPlan, SqueezerSpec, apply_beamsplitter,
+                                apply_loss, apply_phase, homodyne_condition,
+                                marginalize, squeezed_vacuum, tensor)
 from loopsynth.schedule import BinSetting, ControlSchedule, NoiseConfig
 from loopsynth.verifier import (estimate, linear_cluster_oracle_cov,
                                 nullifiers_for, stream_nullifier_variances,
@@ -243,17 +247,135 @@ def test_detection_efficiency_interpolates_toward_vacuum():
         assert value == pytest.approx(expected, abs=1e-12)
 
 
+FLIPPED_BRANCH_SCHEDULE = ControlSchedule(bins=(
+    BinSetting(T=1.0, theta_deg=90.0),
+    BinSetting(T=0.3, theta_deg=180.0),
+    BinSetting(T=1.0, theta_deg=0.0)))
+
+
 def test_fault_injection_breaks_loop_chain_agreement():
-    sched = ControlSchedule(bins=(
-        BinSetting(T=1.0, theta_deg=90.0),
-        BinSetting(T=0.3, theta_deg=180.0),
-        BinSetting(T=1.0, theta_deg=0.0)))
+    sched = FLIPPED_BRANCH_SCHEDULE
     dense = run_unrolled(sched, SOURCE)
     with inject_fault("bs-sign"):
         broken = final_windowed_state(sched, SOURCE, window=4)
     assert np.max(np.abs(dense.cov - broken.cov)) > 1e-3
     fixed = final_windowed_state(sched, SOURCE, window=4)
     assert np.max(np.abs(dense.cov - fixed.cov)) < 1e-12
+
+
+def test_fault_injection_breaks_sampler_agreement():
+    sched = FLIPPED_BRANCH_SCHEDULE
+    plan = MeasurementPlan((0.0, 0.0), shots=4)
+    oracle = sequential_oracle_draws(sched, plan, seed=61)
+    with inject_fault("bs-sign"):
+        broken = run_loop_sampled(sched, SOURCE, plan, seed=61)
+    assert np.max(np.abs(broken.values - oracle)) > 1e-3
+    fixed = run_loop_sampled(sched, SOURCE, plan, seed=61)
+    assert np.max(np.abs(fixed.values - oracle)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# fused bin maps
+# ---------------------------------------------------------------------------
+
+MAP_CORNERS = (0.0, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 1.0)
+
+
+def random_two_mode_state(rng):
+    """A correlated physical state: two squeezers, phases, a splitter, loss."""
+    levels = rng.uniform(0.0, 10.0, 2)
+    state = tensor(*(squeezed_vacuum(SqueezerSpec(db, db + 3.0)) for db in levels))
+    state = apply_phase(state, 0, rng.uniform(0.0, 360.0))
+    state = apply_beamsplitter(state, 0, 1, rng.uniform(0.0, 1.0))
+    state = apply_phase(state, 1, rng.uniform(0.0, 360.0))
+    return apply_loss(state, 0, rng.uniform(0.5, 1.0))
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+def test_fused_map_equals_bin_step(mode, fault):
+    rng = np.random.default_rng([fault, mode == "realistic"])
+    channels = engine._channels(NoiseConfig(mode=mode))
+    dephasing = engine._dephasing_after_map(channels[2])
+    with inject_fault("bs-sign") if fault else contextlib.nullcontext():
+        for trial in range(60):
+            t = (MAP_CORNERS[trial % 5] if trial < 30
+                 else float(rng.uniform(0.0, 1.0)))
+            theta = float(rng.uniform(0.0, 360.0))
+            kind = ("squeezer", "vacuum", "blocked")[trial % 3]
+            squeeze = float(rng.uniform(0.0, 10.0))
+            source = SqueezerSpec(squeeze, squeeze + float(rng.uniform(0.0, 3.0)))
+            lin, noise = engine._bin_maps(source, channels, fault)(t, theta, kind)
+            coupling = engine.bin_coupling(t, fault)
+            variances = engine._pulse_variances(kind, source)
+
+            state = random_two_mode_state(rng)
+            cov, mean = state.cov.copy(), np.zeros(4)
+            engine._load_pulse(cov, mean, 1, variances)
+            engine._bin_step(cov, mean, 0, 1, coupling, theta, channels)
+            fused = state.cov.copy()
+            engine._map_loop_mode(fused, 0, (lin, noise), dephasing)
+            assert np.max(np.abs(fused - cov)) < 1e-14
+
+            loop_mean = rng.normal(0.0, 2.0, 2)
+            moved = np.concatenate([loop_mean, rng.normal(0.0, 2.0, 2)])
+            engine._load_pulse(state.cov.copy(), moved, 1, variances)
+            engine._bin_step(state.cov.copy(), moved, 0, 1, coupling, theta,
+                             channels)
+            assert np.max(np.abs(lin @ loop_mean - moved)) < 1e-14
+
+
+def test_bin_step_runs_once_per_distinct_setting(monkeypatch):
+    # a return to per-bin channel calls would call it once per bin (1009)
+    sched = compile_target(TargetState.linear_cluster(1008),
+                           noise=NoiseConfig(mode="realistic",
+                                             detection_efficiency=0.911))
+    distinct = len({(b.T, b.theta_deg, b.source) for b in sched.bins})
+    assert distinct < len(sched.bins) // 10
+    calls = []
+    real = engine._bin_step
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_bin_step", counted)
+    for _ in run_loop(sched, SOURCE, window=3):
+        pass
+    assert 0 < len(calls) <= distinct
+    calls.clear()
+    plan = MeasurementPlan((0.0, 90.0) * (sched.num_outputs // 2), shots=20)
+    run_loop_sampled(sched, SOURCE, plan, seed=3)
+    assert 0 < len(calls) <= distinct
+
+
+@st.composite
+def loop_schedules(draw):
+    """Random schedules with storage bins, branch corners and 0-20 dB sources."""
+    n = draw(st.integers(2, 6))
+    bins = tuple(BinSetting(
+        T=draw(st.one_of(st.sampled_from(MAP_CORNERS), st.floats(0.0, 1.0))),
+        theta_deg=draw(st.floats(0.0, 360.0)),
+        source=draw(st.sampled_from(("squeezer", "vacuum", "blocked"))))
+        for _ in range(n + 1))
+    noise = NoiseConfig(
+        mode=draw(st.sampled_from(("ideal", "realistic"))),
+        loop_loss_per_trip=draw(st.floats(0.0, 0.15)),
+        phase_jitter_deg_per_trip=draw(st.floats(0.0, 12.0)),
+        detection_efficiency=draw(st.floats(0.7, 1.0)))
+    squeeze = draw(st.floats(0.0, 20.0))
+    source = SqueezerSpec(squeeze, squeeze + draw(st.floats(0.0, 6.0)))
+    return ControlSchedule(bins=bins, noise=noise), source
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_schedules())
+def test_loop_records_equal_dense_marginals(case):
+    sched, source = case
+    dense = run_unrolled(sched, source)
+    for record in run_loop(sched, source, window=3):
+        part = marginalize(dense, [m - 1 for m in record.window_modes])
+        assert np.max(np.abs(part.cov - record.state.cov)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from loopsynth import gaussian as g
 from loopsynth.engine import bin_coupling
-from loopsynth.gaussian import (GaussianState, MeasurementPlan, SqueezerSpec,
-                                apply_beamsplitter, apply_dephasing,
+from loopsynth.gaussian import (GaussianState, MeasurementPlan, SampleSet,
+                                SqueezerSpec, apply_beamsplitter, apply_dephasing,
                                 apply_loss, apply_phase, homodyne_condition,
                                 marginalize, sample_quadratures,
                                 squeezed_vacuum, tensor, vacuum)
@@ -473,6 +473,30 @@ def test_sampling_is_deterministic_under_seed():
 def test_sampling_rejects_plan_mismatch():
     with pytest.raises(ValueError):
         sample_quadratures(vacuum(2), MeasurementPlan((0.0,), shots=10), seed=0)
+
+
+def test_sample_set_adopts_frozen_arrays_and_copies_writable_ones():
+    plan = MeasurementPlan((0.0, 90.0), shots=3)
+    frozen = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    frozen.setflags(write=False)
+    adopted = SampleSet(plan, frozen.T)
+    assert np.shares_memory(adopted.values, frozen)
+    writable = np.arange(6.0).reshape(3, 2)
+    view = writable[:]
+    view.setflags(write=False)  # read-only, but its base is not
+    for owned in (writable, view, writable.tolist()):
+        copied = SampleSet(plan, owned)
+        assert not np.shares_memory(copied.values, writable)
+        assert not copied.values.flags.writeable
+    writable[0, 0] = 99.0
+    assert copied.values[0, 0] == 0.0
+    bad = np.array([[0.0, np.nan]] * 3)
+    for values in (bad, bad.copy()):
+        values.setflags(write=False)
+        with pytest.raises(ValueError, match="non-finite"):
+            SampleSet(plan, values)
+    with pytest.raises(ValueError, match="non-finite"):
+        SampleSet(plan, np.array([[0.0, np.inf]] * 3))
 
 
 def test_empirical_covariance_converges():
