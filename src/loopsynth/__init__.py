@@ -10,7 +10,7 @@ analytically and by Monte-Carlo homodyne sampling.
 from .compiler import (FeasibilityReport, TargetState, compile_target,
                        delta_for_transmissivity, fibonacci, hardware_check)
 from .engine import (RunRecord, epr_pair, memory_experiment, run_loop,
-                     run_loop_per_shot_jitter, run_loop_sampled, run_unrolled)
+                     run_loop_sampled, run_unrolled)
 from .gaussian import (GaussianState, MeasurementPlan, SampleSet, SqueezerSpec,
                        apply_beamsplitter, apply_dephasing, apply_loss,
                        apply_phase, homodyne_condition, marginalize,
@@ -40,8 +40,8 @@ __all__ = [
     "homodyne_condition", "linear_cluster_oracle_cov", "marginalize",
     "memory_experiment", "mode_function", "nullifiers_for",
     "orthogonality_matrix", "parse_schedule", "plan_measurements",
-    "run_loop", "run_loop_per_shot_jitter", "run_loop_sampled",
-    "run_unrolled", "sample_quadratures", "serialize_schedule",
-    "shot_noise_frames", "squeezed_vacuum", "stream_nullifier_variances",
-    "synthesize_frames", "tensor", "vacuum", "variance_analytic",
+    "run_loop", "run_loop_sampled", "run_unrolled", "sample_quadratures",
+    "serialize_schedule", "shot_noise_frames", "squeezed_vacuum",
+    "stream_nullifier_variances", "synthesize_frames", "tensor", "vacuum",
+    "variance_analytic",
 ]

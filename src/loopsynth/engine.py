@@ -23,9 +23,9 @@ The drivers differ only in which modes they keep:
   loop mode; with one it keeps only the loop mode and produces exact joint
   homodyne samples by sequential conditioning: one covariance is mapped per
   bin, and the per-shot means move by that bin's composed map in one
-  matmul.
-* ``run_loop_per_shot_jitter`` runs the sampler once per shot with explicit
-  random phases in place of the averaged jitter channel.
+  matmul.  Both streams read every bin's ``T``, ``theta`` and source from
+  the schedule and its channels from the schedule's noise.
+* ``run_loop_sampled`` collects one sampling run into a ``SampleSet``.
 
 The coupling is branch dependent (``bin_coupling``): T < 1/2 sits on the
 flipped-sign branch, which the compiler compensates with 180-degree phases.
@@ -237,11 +237,21 @@ def _map_loop_mode(cov: np.ndarray, slot: int, bin_map, dephasing) -> None:
         block += dephasing(block)
 
 
+def _schedule_maps(schedule: ControlSchedule, source: SqueezerSpec):
+    """The bin maps and the jitter noise for streaming ``schedule``.
+
+    The channels come from the schedule's noise and the coupling's sign from
+    the active faults, so both streams model a bin the same way.
+    """
+    channels = _channels(schedule.noise)
+    faulty = "bs-sign" in _ACTIVE_FAULTS
+    return _bin_maps(source, channels, faulty), _dephasing_after_map(channels[2])
+
+
 def _window_stream(schedule: ControlSchedule, source: SqueezerSpec,
-                   window: int, channels, faulty: bool) -> Iterator[RunRecord]:
+                   window: int) -> Iterator[RunRecord]:
     """Analytic stream over a (window + 1)-mode buffer; the mean stays zero."""
-    maps = _bin_maps(source, channels, faulty)
-    dephasing = _dephasing_after_map(channels[2])
+    maps, dephasing = _schedule_maps(schedule, source)
     size = 2 * (window + 1)
     cov = np.zeros((size, size))
     cov[:2, :2] = g.VACUUM_VARIANCE * np.eye(2)  # the initial loop content
@@ -265,9 +275,8 @@ def _window_stream(schedule: ControlSchedule, source: SqueezerSpec,
 
 
 def _sample_stream(schedule: ControlSchedule, source: SqueezerSpec,
-                   angles_deg, shots: int, thetas_deg, channels,
-                   rng: np.random.Generator,
-                   faulty: bool = False) -> Iterator[np.ndarray]:
+                   angles_deg, shots: int,
+                   rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Yield each output mode's homodyne draws, one per shot.
 
     Only the loop mode carries over between bins.  Its covariance, shared
@@ -281,15 +290,14 @@ def _sample_stream(schedule: ControlSchedule, source: SqueezerSpec,
     mapped too and supplies the dephasing noise, whose second moments the
     conditioned means could only estimate.
     """
-    maps = _bin_maps(source, channels, faulty)
-    dephasing = _dephasing_after_map(channels[2])
+    maps, dephasing = _schedule_maps(schedule, source)
     cov = g.VACUUM_VARIANCE * np.eye(2)  # the initial loop content
     twin = cov if dephasing is not None else None
     means = np.zeros((3, shots))
     response = np.zeros(2)
     phis = itertools.chain((None,), angles_deg)  # bin 1's exit is discarded
-    for setting, theta, phi in zip(schedule.bins, thetas_deg, phis):
-        lin, noise = maps(setting.T, theta, setting.source)
+    for setting, phi in zip(schedule.bins, phis):
+        lin, noise = maps(setting.T, setting.theta_deg, setting.source)
         pair = lin @ cov @ lin.T + noise
         if twin is not None:
             twin = lin[2:] @ twin @ lin[2:].T + noise[2:, 2:]
@@ -334,14 +342,11 @@ def run_loop(schedule: ControlSchedule, source: SqueezerSpec, window: int = 8,
             f"plan has {len(sampling.angles_deg)} angles but the schedule "
             f"produces {num_outputs} outputs")
 
-    faulty = "bs-sign" in _ACTIVE_FAULTS
-    channels = _channels(schedule.noise)
     if sampling is None:
-        yield from _window_stream(schedule, source, window, channels, faulty)
+        yield from _window_stream(schedule, source, window)
         return
     columns = _sample_stream(schedule, source, sampling.angles_deg,
-                             sampling.shots, schedule.thetas(), channels,
-                             np.random.default_rng(seed), faulty)
+                             sampling.shots, np.random.default_rng(seed))
     for index, (phi, values) in enumerate(zip(sampling.angles_deg, columns),
                                           start=1):
         yield RunRecord(index=index, exit_bin=index + 1, phi_deg=phi,
@@ -356,30 +361,6 @@ def run_loop_sampled(schedule: ControlSchedule, source: SqueezerSpec,
         values[rec.index - 1] = rec.values
     values.setflags(write=False)  # SampleSet adopts a frozen array uncopied
     return SampleSet(plan, values.T)
-
-
-def run_loop_per_shot_jitter(schedule: ControlSchedule, source: SqueezerSpec,
-                             plan: MeasurementPlan, seed=None) -> SampleSet:
-    """Sampling run with explicit random phase jitter per shot and trip.
-
-    One sampler run per shot, with a drawn rotation angle per round trip in
-    place of the averaged channel (the two agree on second moments).  Each
-    shot draws its phases before its homodyne outcomes.
-    """
-    if len(plan.angles_deg) != schedule.num_outputs:
-        raise ValueError("plan length mismatch")
-    rng = np.random.default_rng(seed)
-    det_eta, loop_eta, sigma = _channels(schedule.noise)
-    thetas = np.array(schedule.thetas())
-    values = np.zeros((plan.shots, schedule.num_outputs))
-    for shot in range(plan.shots):
-        drawn = thetas + rng.normal(0.0, sigma, thetas.size) if sigma > 0.0 \
-            else thetas
-        values[shot] = np.concatenate(list(_sample_stream(
-            schedule, source, plan.angles_deg, 1, drawn,
-            (det_eta, loop_eta, 0.0), rng)))
-    values.setflags(write=False)
-    return SampleSet(plan, values)
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,6 @@ class GaussianState:
     def num_modes(self) -> int:
         return self.mean.size // 2
 
-    def mode_variances(self, mode: int) -> tuple[float, float]:
-        """(var x, var p) of one mode."""
-        return float(self.cov[_x(mode), _x(mode)]), float(self.cov[_p(mode), _p(mode)])
-
 
 @dataclass(frozen=True)
 class SqueezerSpec:
@@ -192,7 +188,9 @@ def squeezed_vacuum(spec: SqueezerSpec) -> GaussianState:
 #
 # Each update acts in place on a covariance matrix and on a mean indexed as
 # mean[..., q]: either one 2N vector or a (shots, 2N) stack of per-shot
-# conditional means, which all share the one covariance.
+# conditional means, which all share the one covariance.  The one exception
+# is the dephasing's default second moment S = B + mu mu^T, which needs a
+# single mean vector; a stack must come with its ``moments``.
 # ---------------------------------------------------------------------------
 
 
@@ -257,14 +255,19 @@ def _apply_dephasing_inplace(cov: np.ndarray, mean: np.ndarray, mode: int,
         e1^2 B + E[R S R^T] - e1^2 S,
 
     its cross-covariances and mean scale by e1, and S is the mode's 2x2
-    second moment about zero.  By default S = B + mu mu^T from a single
-    mean vector, the exact average of the state.  A caller that adds the
-    noise itself (``_dephasing_noise``) passes S = 0, which leaves only the
-    e1 scaling; the engine's fused bin maps are built that way.
+    second moment about zero.  By default S = B + mu mu^T, the exact average
+    of the state, which needs ``mean`` to be a single vector: a stack of
+    means raises ValueError unless ``moments`` is given.  A caller that adds
+    the noise itself (``_dephasing_noise``) passes S = 0, which leaves only
+    the e1 scaling; the engine's fused bin maps are built that way.
     """
     averages = dephasing_moments(sigma_deg)
     q = _quads(mode)
     if moments is None:
+        if mean.ndim != 1:
+            raise ValueError(
+                "the default dephasing moments need a single mean vector; "
+                f"pass moments for a stack of shape {mean.shape}")
         mu = mean[q]
         moments = cov[q, q] + np.outer(mu, mu)
     e1 = averages[0]

@@ -225,6 +225,11 @@ def variance_analytic(state: GaussianState, spec: NullifierSpec,
     return value + shift * shift
 
 
+def _criterion_value(state: GaussianState, crit) -> float:
+    """A criterion's analytic value: its parts' variances, summed in order."""
+    return sum(variance_analytic(state, spec) for spec in criterion_parts(crit))
+
+
 def estimate(samples: SampleSet, spec: NullifierSpec) -> Estimate:
     """Unbiased sample variance of the combination, with Gaussian stderr.
 
@@ -414,17 +419,12 @@ def calibrate_efficiency(source: SqueezerSpec | None = None,
         criteria = nullifiers_for(target)
         state = run_unrolled(compile_target(target, noise=noise), source)
         base[name] = [
-            (crit.label,
-             variance_analytic(state, crit.first)
-             + variance_analytic(state, crit.second),
-             crit.vacuum_variance())
+            (crit.label, _criterion_value(state, crit), crit.vacuum_variance())
             for crit in criteria
         ]
         if name == "epr":
             ideal = run_unrolled(compile_target(target), source)
-            crit = criteria[0]
-            ideal_epr = variance_analytic(ideal, crit.first) \
-                + variance_analytic(ideal, crit.second)
+            ideal_epr = _criterion_value(ideal, criteria[0])
 
     rows_raw = []
     for name, _, row_index, measured in targets:

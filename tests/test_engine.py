@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from loopsynth import engine
 from loopsynth.compiler import TargetState, compile_target
 from loopsynth.engine import (epr_pair, inject_fault, memory_experiment,
-                              run_loop, run_loop_per_shot_jitter,
-                              run_loop_sampled, run_unrolled)
-from loopsynth.gaussian import (MeasurementPlan, SqueezerSpec, apply_beamsplitter,
-                                apply_loss, apply_phase, homodyne_condition,
-                                marginalize, squeezed_vacuum, tensor)
+                              run_loop, run_loop_sampled, run_unrolled)
+from loopsynth.gaussian import (MeasurementPlan, SampleSet, SqueezerSpec,
+                                apply_beamsplitter, apply_loss, apply_phase,
+                                homodyne_condition, marginalize,
+                                squeezed_vacuum, tensor)
 from loopsynth.schedule import BinSetting, ControlSchedule, NoiseConfig
 from loopsynth.verifier import (estimate, linear_cluster_oracle_cov,
                                 nullifiers_for, stream_nullifier_variances,
@@ -172,13 +173,35 @@ def test_sampled_moments_match_analytic_in_realistic_mode():
                                       abs=3 * est.stderr)
 
 
+def per_shot_jitter_samples(schedule, source, plan, seed):
+    """Oracle for the averaged dephasing: explicit random phases per shot.
+
+    Each shot draws one phase per round trip on top of the schedule's
+    thetas, then streams a jitter-free copy of the schedule (same loss and
+    detection efficiency) for one shot with the same generator, so every
+    shot draws its phases before its homodyne outcomes.
+    """
+    rng = np.random.default_rng(seed)
+    sigma = schedule.noise.phase_jitter_deg_per_trip
+    noise = dataclasses.replace(schedule.noise, phase_jitter_deg_per_trip=0.0)
+    values = np.empty((plan.shots, schedule.num_outputs))
+    for shot in range(plan.shots):
+        drawn = rng.normal(0.0, sigma, len(schedule.bins))
+        bins = tuple(dataclasses.replace(b, theta_deg=b.theta_deg + d)
+                     for b, d in zip(schedule.bins, drawn))
+        jitter_free = dataclasses.replace(schedule, bins=bins, noise=noise)
+        values[shot] = np.concatenate(list(engine._sample_stream(
+            jitter_free, source, plan.angles_deg, 1, rng)))
+    return SampleSet(plan, values)
+
+
 def test_per_shot_jitter_agrees_with_averaged_channel():
     noise = NoiseConfig(mode="realistic")
     sched = compile_target(TargetState.epr(), noise=noise)
     state = run_unrolled(sched, SOURCE)
     crit = nullifiers_for(TargetState.epr())[0]
     plan = MeasurementPlan((0.0, 0.0), shots=4000)
-    est = estimate(run_loop_per_shot_jitter(sched, SOURCE, plan, seed=9), crit.first)
+    est = estimate(per_shot_jitter_samples(sched, SOURCE, plan, seed=9), crit.first)
     analytic = variance_analytic(state, crit.first)
     # mixture sampling has heavier variance tails; allow 4 Gaussian stderrs
     assert est.value == pytest.approx(analytic, abs=4 * est.stderr)

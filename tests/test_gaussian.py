@@ -424,6 +424,15 @@ def test_raw_updates_act_row_by_row_on_stacked_means():
             assert np.allclose(stacked[row], mean_row, rtol=0, atol=1e-14), name
 
 
+def test_default_dephasing_moments_refuse_stacked_means():
+    # S = B + mu mu^T is one mode's moment; a stack of means has no single mu
+    base = random_state(21)
+    for stack in (np.zeros((1, 6)), np.zeros((3, 6)), np.zeros((4, 6))):
+        cov = base.cov.copy()
+        with pytest.raises(ValueError, match="single mean vector"):
+            g._apply_dephasing_inplace(cov, stack, 1, 9.0)
+
+
 @pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (0, 3), (3, 1)])
 @pytest.mark.parametrize("transmissivity", [0.7, 0.3])
 def test_pair_update_equals_conjugation_by_embedded_kron(i, j, transmissivity):
