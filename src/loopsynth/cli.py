@@ -197,19 +197,18 @@ def _cmd_verify(args, argv) -> int:
         return 1
 
     noise = schedule.noise
-    if args.ideal:
-        noise = NoiseConfig(mode="ideal")
-    elif args.realistic:
-        noise = NoiseConfig(mode="realistic")
-    if args.efficiency is not None:
-        noise = NoiseConfig(
-            loop_loss_per_trip=noise.loop_loss_per_trip,
-            phase_jitter_deg_per_trip=noise.phase_jitter_deg_per_trip,
-            detection_efficiency=args.efficiency, mode="realistic")
-    schedule = ControlSchedule(bins=schedule.bins, tau_ns=schedule.tau_ns,
-                               noise=noise)
-
     try:
+        if args.ideal:
+            noise = NoiseConfig(mode="ideal")
+        elif args.realistic:
+            noise = NoiseConfig(mode="realistic")
+        if args.efficiency is not None:
+            noise = NoiseConfig(
+                loop_loss_per_trip=noise.loop_loss_per_trip,
+                phase_jitter_deg_per_trip=noise.phase_jitter_deg_per_trip,
+                detection_efficiency=args.efficiency, mode="realistic")
+        schedule = ControlSchedule(bins=schedule.bins, tau_ns=schedule.tau_ns,
+                                   noise=noise)
         name, target = _infer_target(schedule)
         source = SqueezerSpec(args.squeeze_db, args.antisqueeze_db)
         rows = _report_rows(schedule, source, nullifiers_for(target),
@@ -255,13 +254,17 @@ def _cmd_memory(args, argv) -> int:
     if args.shots < 2:  # the stderr column divides by shots - 1
         print("error: shots must be >= 2", file=sys.stderr)
         return 1
-    if args.ideal:
-        noise = NoiseConfig(mode="ideal")
-    else:
-        noise = NoiseConfig(mode="realistic", loop_loss_per_trip=args.loss,
-                            phase_jitter_deg_per_trip=args.jitter,
-                            detection_efficiency=args.efficiency)
-    source = SqueezerSpec(args.squeeze_db, args.antisqueeze_db)
+    try:
+        if args.ideal:
+            noise = NoiseConfig(mode="ideal")
+        else:
+            noise = NoiseConfig(mode="realistic", loop_loss_per_trip=args.loss,
+                                phase_jitter_deg_per_trip=args.jitter,
+                                detection_efficiency=args.efficiency)
+        source = SqueezerSpec(args.squeeze_db, args.antisqueeze_db)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     tau = 66.0
     rows = []
     for n in range(1, args.max_n + 1):

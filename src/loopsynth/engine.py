@@ -20,11 +20,14 @@ The drivers differ only in which modes they keep:
   distinct bin setting by running ``_bin_step`` on a two-mode pair, and
   the streams apply it as one congruence per bin.  Without a measurement
   plan the stream keeps a sliding window of recently exited modes plus the
-  loop mode; with one it keeps only the loop mode and produces exact joint
-  homodyne samples by sequential conditioning: one covariance is mapped per
-  bin, and the per-shot means move by that bin's composed map in one
-  matmul.  Both streams read every bin's ``T``, ``theta`` and source from
-  the schedule and its channels from the schedule's noise.
+  loop mode: ``_window_covariances`` yields each window as a raw view of
+  its buffer, which the verifier reads directly, and ``run_loop`` wraps
+  every view into a validated ``GaussianState`` record.  With a plan the
+  stream keeps only the loop mode and produces exact joint homodyne
+  samples by sequential conditioning: one covariance is mapped per bin,
+  and the per-shot means move by that bin's composed map in one matmul.
+  Both streams read every bin's ``T``, ``theta`` and source from the
+  schedule and its channels from the schedule's noise.
 * ``run_loop_sampled`` collects one sampling run into a ``SampleSet``.
 
 The coupling is branch dependent (``bin_coupling``): T < 1/2 sits on the
@@ -248,9 +251,16 @@ def _schedule_maps(schedule: ControlSchedule, source: SqueezerSpec):
     return _bin_maps(source, channels, faulty), _dephasing_after_map(channels[2])
 
 
-def _window_stream(schedule: ControlSchedule, source: SqueezerSpec,
-                   window: int) -> Iterator[RunRecord]:
-    """Analytic stream over a (window + 1)-mode buffer; the mean stays zero."""
+def _window_covariances(schedule: ControlSchedule, source: SqueezerSpec,
+                        window: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(index, cov)`` per non-discarded output, unvalidated.
+
+    The stream runs over a (window + 1)-mode buffer and its mean stays zero.
+    ``cov`` is a view of the buffer block holding the exited modes, oldest
+    first, so the newest mode ``index`` is its last pair of columns; it is
+    valid only until the stream is resumed, and it is exactly as stepped
+    (not symmetrized).
+    """
     maps, dephasing = _schedule_maps(schedule, source)
     size = 2 * (window + 1)
     cov = np.zeros((size, size))
@@ -268,10 +278,18 @@ def _window_stream(schedule: ControlSchedule, source: SqueezerSpec,
             _drop_leading_mode(cov, dim)  # pre-existing loop content
             continue
         held += 1
-        yield RunRecord(index=k - 1, exit_bin=k, phi_deg=setting.phi_deg,
-                        window_modes=tuple(range(k - held, k)),
-                        state=GaussianState(np.zeros(2 * held),
-                                            cov[:2 * held, :2 * held]))
+        yield k - 1, cov[:2 * held, :2 * held]
+
+
+def _window_stream(schedule: ControlSchedule, source: SqueezerSpec,
+                   window: int) -> Iterator[RunRecord]:
+    """``_window_covariances`` with each block validated into a record."""
+    for index, cov in _window_covariances(schedule, source, window):
+        held = cov.shape[0] // 2
+        yield RunRecord(index=index, exit_bin=index + 1,
+                        phi_deg=schedule.bins[index].phi_deg,
+                        window_modes=tuple(range(index + 1 - held, index + 1)),
+                        state=GaussianState(np.zeros(2 * held), cov))
 
 
 def _sample_stream(schedule: ControlSchedule, source: SqueezerSpec,

@@ -99,13 +99,18 @@ class SqueezerSpec:
 
     squeeze_db is the variance reduction of x below vacuum, antisqueeze_db
     the increase of p.  Physicality requires antisqueeze >= squeeze so that
-    var_x * var_p >= 1/16.
+    var_x * var_p >= 1/16.  Levels must be finite and small enough that
+    both variances are finite floats.
     """
 
     squeeze_db: float = 5.0
     antisqueeze_db: float = 8.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.squeeze_db) and math.isfinite(self.antisqueeze_db)):
+            raise ValueError(
+                f"non-finite squeezer level: squeeze {self.squeeze_db} dB, "
+                f"antisqueeze {self.antisqueeze_db} dB")
         if self.squeeze_db < 0:
             raise ValueError("squeeze_db must be >= 0")
         if self.antisqueeze_db < self.squeeze_db:
@@ -113,6 +118,11 @@ class SqueezerSpec:
                 f"unphysical squeezer: antisqueeze {self.antisqueeze_db} dB "
                 f"< squeeze {self.squeeze_db} dB"
             )
+        try:
+            self.variances()
+        except OverflowError:
+            raise ValueError(f"antisqueeze {self.antisqueeze_db} dB overflows "
+                             "the p variance") from None
 
     def variances(self) -> tuple[float, float]:
         var_x = 10.0 ** (-self.squeeze_db / 10.0) * VACUUM_VARIANCE

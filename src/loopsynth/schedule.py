@@ -63,8 +63,8 @@ class NoiseConfig:
             object.__setattr__(self, "detection_efficiency", 1.0)
         if not 0.0 <= self.loop_loss_per_trip <= 1.0:
             raise ValueError("loop loss per trip must be in [0, 1]")
-        if self.phase_jitter_deg_per_trip < 0:
-            raise ValueError("phase jitter must be >= 0")
+        if not 0.0 <= self.phase_jitter_deg_per_trip < math.inf:
+            raise ValueError("phase jitter must be finite and >= 0")
         if not 0.0 < self.detection_efficiency <= 1.0:
             raise ValueError("detection efficiency must be in (0, 1]")
 

@@ -23,9 +23,11 @@ import numpy as np
 
 from . import gaussian as g
 from .compiler import TargetState, compile_target, fibonacci_numbers
-from .engine import run_loop, run_unrolled
+from .engine import _window_covariances, run_unrolled
 from .gaussian import GaussianState, MeasurementPlan, SampleSet, SqueezerSpec
 from .schedule import ControlSchedule, NoiseConfig
+# unused here, but perfbench/tracing.py rebinds this name on this module
+from .engine import run_loop  # noqa: F401
 
 NULLIFIER_THRESHOLD = 0.5
 INSEPARABILITY_THRESHOLD = 1.0
@@ -201,10 +203,12 @@ def cluster_nullifier(k: int) -> NullifierSpec:
 
 
 def _coefficient_vector(spec: NullifierSpec, num_modes: int,
-                        mode_map: dict[int, int] | None) -> np.ndarray:
+                        mode_map: dict[int, int] | None,
+                        first: int = 1) -> np.ndarray:
+    """Column of each term from ``mode_map``, else mode ``first`` is column 0."""
     c = np.zeros(2 * num_modes)
     for mode, quad, coeff in spec.terms:
-        col = mode_map.get(mode) if mode_map is not None else mode - 1
+        col = mode_map.get(mode) if mode_map is not None else mode - first
         if col is None or not 0 <= col < num_modes:
             raise ValueError(f"mode {mode} not present in state")
         c[2 * col + (0 if quad == "x" else 1)] += coeff
@@ -333,6 +337,13 @@ def stream_nullifier_variances(schedule: ControlSchedule, source: SqueezerSpec,
     wider window costs more and changes values only at round-off.  Specs
     with a mode outside the outputs or a span wider than the window are
     rejected before the run.
+
+    The values are read straight from the engine's window buffer
+    (``engine._window_covariances``), symmetrized as ``GaussianState``
+    would store it, so they equal ``variance_analytic`` on the matching
+    ``run_loop`` record bit for bit without building a validated state per
+    record.  The inputs are validated where they are built (schedule, noise
+    and source); a negative or non-finite result still raises ValueError.
     """
     spans = [(min(modes), max(modes)) for modes in (spec.modes() for spec in specs)]
     if window is None:
@@ -350,13 +361,23 @@ def stream_nullifier_variances(schedule: ControlSchedule, source: SqueezerSpec,
 
     values = [0.0] * len(specs)
     last = max(by_newest, default=0)
-    for record in run_loop(schedule, source, window=window):
-        if record.index in by_newest:
-            mode_map = {m: i for i, m in enumerate(record.window_modes)}
-            for i in by_newest[record.index]:
-                values[i] = variance_analytic(record.state, specs[i], mode_map)
-        if record.index >= last:
+    for index, cov in _window_covariances(schedule, source, window):
+        due = by_newest.get(index)
+        if due is not None:
+            held = cov.shape[0] // 2
+            sym = 0.5 * (cov + cov.T)
+            for i in due:
+                c = _coefficient_vector(specs[i], held, None,
+                                        first=index - held + 1)
+                values[i] = float(c @ sym @ c)
+        if index >= last:
             break
+    # a variance is never negative: one below zero is round-off, not physics
+    bad = [specs[i].label for i, v in enumerate(values)
+           if not (math.isfinite(v) and v >= 0.0)]
+    if bad:
+        raise ValueError(
+            f"negative or non-finite nullifier variance: {', '.join(bad)}")
     return values
 
 

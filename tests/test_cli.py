@@ -197,6 +197,27 @@ def test_memory_rejects_fewer_than_two_shots(tmp_path, capsys, shots):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "{schedule}", "--efficiency", "2"], "detection efficiency"),
+    (["verify", "{schedule}", "--squeeze-db", "nan"], "non-finite squeezer"),
+    (["memory", "--loss", "2"], "loop loss"),
+    (["memory", "--jitter", "nan"], "phase jitter"),
+    (["memory", "--squeeze-db", "nan", "--antisqueeze-db", "nan"],
+     "non-finite squeezer"),
+    (["memory", "--antisqueeze-db", "4000"], "overflows"),
+])
+def test_bad_noise_and_source_flags_are_usage_errors(tmp_path, capsys, argv,
+                                                     message):
+    schedule, csv = tmp_path / "epr.json", tmp_path / "out.csv"
+    assert main(["compile", "epr", "-o", str(schedule)]) == 0
+    capsys.readouterr()
+    argv = [a.format(schedule=schedule) for a in argv]
+    assert main(argv + ["--csv", str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not csv.exists()
+
+
 def test_selfcheck_passes_quickly(capsys):
     start = time.perf_counter()
     assert main(["selfcheck"]) == 0

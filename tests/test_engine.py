@@ -401,6 +401,24 @@ def test_loop_records_equal_dense_marginals(case):
         assert np.max(np.abs(part.cov - record.state.cov)) < 1e-10
 
 
+def min_uncertainty_eigenvalue(cov):
+    """Smallest eigenvalue of V + (i/4) Omega; >= 0 for a physical state."""
+    sym = 0.5 * (cov + cov.T)
+    omega = np.kron(np.eye(len(cov) // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    return np.linalg.eigvalsh(sym + 0.25j * omega)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_schedules())
+def test_window_covariances_are_physical(case):
+    # the verifier reads these blocks without validating them
+    sched, source = case
+    for _, cov in engine._window_covariances(sched, source, 3):
+        assert np.isfinite(cov).all()
+        floor = -1e-12 * max(1.0, np.linalg.norm(cov, 2))
+        assert min_uncertainty_eigenvalue(cov) >= floor
+
+
 # ---------------------------------------------------------------------------
 # quantum memory
 # ---------------------------------------------------------------------------

@@ -86,6 +86,20 @@ def test_unphysical_squeezer_rejected():
         SqueezerSpec(5.0, 4.0)
 
 
+@pytest.mark.parametrize("levels", [(float("nan"), float("nan")),
+                                    (0.0, float("inf")), (float("-inf"), 3.0)])
+def test_non_finite_squeezer_rejected(levels):
+    with pytest.raises(ValueError, match="non-finite"):
+        SqueezerSpec(*levels)
+
+
+def test_overflowing_squeezer_rejected():
+    # 10 ** 400 overflows a float; the largest accepted level still works
+    with pytest.raises(ValueError, match="overflows"):
+        SqueezerSpec(0.0, 4000.0)
+    assert np.isfinite(SqueezerSpec(0.0, 3080.0).variances()).all()
+
+
 def test_asymmetric_covariance_rejected():
     cov = np.array([[0.25, 0.1], [0.0, 0.25]])
     with pytest.raises(ValueError, match="asymmetric"):

@@ -100,6 +100,12 @@ def test_ideal_mode_forces_noise_free():
     assert noise.detection_efficiency == 1.0
 
 
+@pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_jitter_rejected(jitter):
+    with pytest.raises(ValueError, match="phase jitter"):
+        NoiseConfig(mode="realistic", phase_jitter_deg_per_trip=jitter)
+
+
 def test_bad_source_rejected():
     with pytest.raises(ValueError, match="source"):
         BinSetting(T=0.5, source="laser")

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from loopsynth import verifier
 from loopsynth.compiler import TargetState, compile_target
-from loopsynth.engine import run_unrolled
+from loopsynth.engine import run_loop, run_unrolled
 from loopsynth.gaussian import (GaussianState, MeasurementPlan, SqueezerSpec,
                                 apply_beamsplitter, apply_phase,
                                 sample_quadratures, vacuum)
 from loopsynth.schedule import NoiseConfig
 from loopsynth.verifier import (CALIBRATION_TARGETS, NullifierSpec,
-                                calibrate_efficiency,
+                                calibrate_efficiency, criterion_parts,
                                 cluster_nullifier, estimate,
                                 linear_cluster_oracle_cov, nullifiers_for,
                                 plan_measurements, stream_nullifier_variances,
@@ -253,6 +254,71 @@ def test_stream_reports_uncoverable_specs():
     for spec in (wide, mode_0, beyond_last_output):
         with pytest.raises(ValueError, match="window never covered"):
             stream_nullifier_variances(sched, SOURCE, [spec], window=3)
+
+
+STREAM_TARGETS = (TargetState.epr(), TargetState.ghz(5), TargetState.star_cluster(4),
+                  TargetState.linear_cluster(3), TargetState.linear_cluster(8),
+                  TargetState.infinite_cluster(12))
+
+
+@pytest.mark.parametrize("window", [3, 8])
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+@pytest.mark.parametrize("target", STREAM_TARGETS, ids=lambda t: f"{t.kind}{t.n}")
+def test_stream_equals_analytic_variance_on_validated_records(target, mode,
+                                                              window):
+    # the stream reads the raw window buffer; each value must equal the one
+    # variance_analytic takes from the validated run_loop record, bit for
+    # bit, including at the chain head where fewer modes than the window
+    # are held
+    sched = compile_target(target, NoiseConfig(mode=mode))
+    specs = [spec for spec in dict.fromkeys(
+        part for crit in nullifiers_for(target) for part in criterion_parts(crit))
+        if max(spec.modes()) - min(spec.modes()) < window]
+    assert specs
+    records = {r.index: r for r in run_loop(sched, SOURCE, window=window)}
+    expected = []
+    for spec in specs:
+        record = records[max(spec.modes())]
+        mode_map = {m: i for i, m in enumerate(record.window_modes)}
+        expected.append(variance_analytic(record.state, spec, mode_map))
+    assert stream_nullifier_variances(sched, SOURCE, specs, window=window) \
+        == expected
+
+
+def test_stream_builds_no_validated_state(monkeypatch):
+    sched = compile_target(TargetState.linear_cluster(1008),
+                           NoiseConfig(mode="realistic", detection_efficiency=0.911))
+    specs = nullifiers_for(TargetState.linear_cluster(1008))
+    calls = []
+    real = GaussianState.__post_init__
+
+    def counted(self):
+        calls.append(None)
+        real(self)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counted)
+    values = stream_nullifier_variances(sched, SOURCE, specs)
+    assert len(values) == 1008 and calls == []
+    records = sum(1 for _ in run_loop(sched, SOURCE, window=3))
+    assert records == 1008 and len(calls) == records
+
+
+def test_stream_rejects_non_finite_and_negative_variances(monkeypatch):
+    sched = compile_target(TargetState.linear_cluster(4))
+    specs = nullifiers_for(TargetState.linear_cluster(4))
+
+    def corrupted(value):
+        def stream(schedule, source, window):
+            for index in range(1, schedule.num_outputs + 1):
+                held = min(index, window)
+                yield index, np.full((2 * held, 2 * held), value)
+        return stream
+
+    for value in (np.nan, np.inf, -1.0):
+        monkeypatch.setattr(verifier, "_window_covariances", corrupted(value))
+        with pytest.raises(ValueError, match="negative or non-finite"), \
+                np.errstate(invalid="ignore"):
+            stream_nullifier_variances(sched, SOURCE, specs)
 
 
 # ---------------------------------------------------------------------------
