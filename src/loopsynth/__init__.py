@@ -7,10 +7,11 @@ verifies entanglement through nullifier and inseparability criteria, both
 analytically and by Monte-Carlo homodyne sampling.
 """
 
-from .compiler import (FeasibilityReport, TargetState, compile_target,
-                       delta_for_transmissivity, fibonacci, hardware_check)
-from .engine import (RunRecord, epr_pair, memory_experiment, run_loop,
-                     run_loop_sampled, run_unrolled)
+from .compiler import (FeasibilityReport, TargetState, compile_storage,
+                       compile_target, delta_for_transmissivity, fibonacci,
+                       hardware_check)
+from .engine import (RunRecord, memory_experiment, run_loop, run_loop_sampled,
+                     run_unrolled)
 from .gaussian import (GaussianState, MeasurementPlan, SampleSet, SqueezerSpec,
                        apply_beamsplitter, apply_dephasing, apply_loss,
                        apply_phase, homodyne_condition, marginalize,
@@ -34,8 +35,8 @@ __all__ = [
     "RunRecord", "SampleSet", "ScheduleFormatError", "SqueezerSpec",
     "TargetState", "TraceFrame", "WaveformConfig", "apply_beamsplitter",
     "apply_dephasing", "apply_loss", "apply_phase", "calibrate_efficiency",
-    "cluster_nullifier", "compile_target", "delta_for_transmissivity",
-    "epr_pair", "estimate", "extract_quadratures", "fibonacci",
+    "cluster_nullifier", "compile_storage", "compile_target",
+    "delta_for_transmissivity", "estimate", "extract_quadratures", "fibonacci",
     "frame_from_text", "frame_to_text", "hardware_check",
     "homodyne_condition", "linear_cluster_oracle_cov", "marginalize",
     "memory_experiment", "mode_function", "nullifiers_for",

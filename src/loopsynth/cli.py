@@ -28,8 +28,8 @@ import numpy as np
 from .compiler import TargetState, compile_target, hardware_check
 from .engine import memory_experiment, run_loop_sampled
 from .gaussian import SqueezerSpec
-from .schedule import (ControlSchedule, NoiseConfig, ScheduleFormatError,
-                       parse_schedule, serialize_schedule)
+from .schedule import (DEFAULT_TAU_NS, ControlSchedule, NoiseConfig,
+                       ScheduleFormatError, parse_schedule, serialize_schedule)
 from .selfcheck import run_selfcheck
 from .verifier import (criterion_parts, estimate, nullifiers_for,
                        plan_measurements, stream_nullifier_variances)
@@ -254,6 +254,9 @@ def _cmd_memory(args, argv) -> int:
     if args.shots < 2:  # the stderr column divides by shots - 1
         print("error: shots must be >= 2", file=sys.stderr)
         return 1
+    if args.max_n < 1:
+        print("error: max-n must be >= 1", file=sys.stderr)
+        return 1
     try:
         if args.ideal:
             noise = NoiseConfig(mode="ideal")
@@ -265,12 +268,11 @@ def _cmd_memory(args, argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    tau = 66.0
+    delays = range(1, args.max_n + 1)
     rows = []
-    for n in range(1, args.max_n + 1):
-        value = memory_experiment(n, source, noise, accumulation=args.accumulation)
+    for n, value in zip(delays, memory_experiment(delays, source, noise)):
         stderr = float(value / np.sqrt(args.shots - 1))  # two equal-variance terms
-        rows.append((n, n * tau, value, stderr))
+        rows.append((n, n * DEFAULT_TAU_NS, value, stderr))
     print(f"# {_reproduction_line(argv)}")
     print(f"{'n':>3}{'delay_ns':>10}{'inseparability':>16}{'stderr':>9}")
     for n, delay, value, stderr in rows:
@@ -337,9 +339,6 @@ def _build_parser() -> _Parser:
     m.add_argument("--jitter", type=float, default=7.0)
     m.add_argument("--efficiency", type=float, default=1.0)
     m.add_argument("--ideal", action="store_true", help="noise-free sweep")
-    m.add_argument("--accumulation", choices=("random_walk", "linear"),
-                   default="random_walk",
-                   help="how per-trip jitter accumulates over the delay")
     m.add_argument("--shots", type=int, default=5000,
                    help="shot count assumed for the stderr column")
     m.add_argument("--squeeze-db", type=float, default=5.0)

@@ -73,13 +73,10 @@ def fibonacci(k: int) -> int:
     return fibonacci_numbers(k + 1)[k]
 
 
-def _flip_corrected(thetas: list[float], ts: list[float]) -> list[float]:
-    # Bin k with T < 1/2: fold the post-splitter 180 into theta_k.
-    out = list(thetas)
-    for k, t in enumerate(ts):
-        if k < len(out) and t < 0.5 - 1e-12:
-            out[k] = (out[k] + 180.0) % 360.0
-    return out
+def _flip_corrected(thetas, ts) -> list[float]:
+    # A bin with T < 1/2: fold the post-splitter 180 into its theta.
+    return [(th + 180.0) % 360.0 if t < 0.5 - 1e-12 else th
+            for th, t in zip(thetas, ts)]
 
 
 def _cluster_phi(num_outputs: int) -> list[float]:
@@ -102,7 +99,7 @@ def compile_target(target: TargetState,
 
     if target.kind in ("epr", "ghz", "star"):
         ts = [1.0] + [1.0 / (n - k + 2) for k in range(2, n + 1)] + [1.0]
-        thetas = [90.0] + [0.0] * (n - 1)
+        thetas = [90.0] + [0.0] * n  # the final bin only releases
         if target.kind == "star":
             thetas[n - 1] = 90.0
         phis = [0.0] * (n + 1)
@@ -110,26 +107,39 @@ def compile_target(target: TargetState,
         fib = fibonacci_numbers(n + 2)
         ts = [1.0] + [fib[n - k + 2] / fib[n - k + 3]
                       for k in range(2, n + 1)] + [1.0]
-        thetas = [90.0] * n
+        thetas = [90.0] * n + [0.0]  # the final bin only releases
         phis = _cluster_phi(n)
     elif target.kind == "infinite":
-        num_bins = n + 1
-        ts = [1.0] + [GOLDEN_RATIO_T] * (num_bins - 1)
-        thetas = [90.0] * num_bins
+        ts = [1.0] + [GOLDEN_RATIO_T] * n
+        thetas = [90.0] * (n + 1)
         phis = _cluster_phi(n)
-        bins = tuple(
-            BinSetting(T=t, theta_deg=th, phi_deg=ph, source="squeezer")
-            for t, th, ph in zip(ts, thetas, phis))
-        return ControlSchedule(bins=bins, noise=noise)
     else:  # pragma: no cover
         raise ValueError(target.kind)
-
-    thetas = _flip_corrected(thetas, ts)
-    thetas = thetas + [0.0]  # final bin only releases; its phase is unused
-    bins = tuple(
-        BinSetting(T=t, theta_deg=th, phi_deg=ph, source="squeezer")
-        for t, th, ph in zip(ts, thetas, phis))
+    bins = tuple(BinSetting(T=t, theta_deg=th, phi_deg=ph, source="squeezer")
+                 for t, th, ph in zip(ts, _flip_corrected(thetas, ts), phis))
     return ControlSchedule(bins=bins, noise=noise)
+
+
+def compile_storage(delays, noise: NoiseConfig | None = None) -> ControlSchedule:
+    """The EPR storage program once per delay n, back to back.
+
+    Each program loads pulse 1 at 90 degrees (T = 1), mixes it 50/50 with
+    pulse 2, holds arm 2 for n blocked T = 0 bins and releases it (T = 1,
+    blocked).  In the program starting at bin s, arm 1 is output s and arm
+    2 is output s + n + 1.  Empty or negative delays raise ValueError.
+    """
+    delays = list(delays)
+    if not delays or min(delays) < 0:
+        raise ValueError("storage needs one or more delays, none negative")
+    program = []
+    for n in delays:
+        program += [(1.0, 90.0, "squeezer"), (0.5, 0.0, "squeezer")] \
+            + [(0.0, 0.0, "blocked")] * n + [(1.0, 0.0, "blocked")]
+    ts, thetas, sources = zip(*program)
+    bins = tuple(BinSetting(T=t, theta_deg=th, source=src)
+                 for t, th, src in zip(ts, _flip_corrected(thetas, ts), sources))
+    return ControlSchedule(bins=bins, noise=noise if noise is not None
+                           else NoiseConfig())
 
 
 # ---------------------------------------------------------------------------

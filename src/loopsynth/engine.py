@@ -29,9 +29,12 @@ The drivers differ only in which modes they keep:
   Both streams read every bin's ``T``, ``theta`` and source from the
   schedule and its channels from the schedule's noise.
 * ``run_loop_sampled`` collects one sampling run into a ``SampleSet``.
+* ``memory_experiment`` is the window stream's third reader: it streams
+  ``compiler.compile_storage``'s sweep and reads each stored EPR pair.
 
-The coupling is branch dependent (``bin_coupling``): T < 1/2 sits on the
-flipped-sign branch, which the compiler compensates with 180-degree phases.
+The coupling is branch dependent (``bin_coupling``): T < 1/2, T = 0
+included, sits on the flipped-sign branch, which the compiler compensates
+with 180-degree phases.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from typing import Iterator
 import numpy as np
 
 from . import gaussian as g
+from .compiler import compile_storage
 from .gaussian import GaussianState, MeasurementPlan, SampleSet, SqueezerSpec
 from .schedule import ControlSchedule, NoiseConfig
 
@@ -70,14 +74,12 @@ def bin_coupling(transmissivity: float, faulty: bool = False) -> np.ndarray:
     """2x2 coupling (rows: exiting mode, loop mode) for one bin.
 
     T >= 1/2 sits on the default branch of the variable splitter; T < 1/2 is
-    only reachable on the branch whose off-diagonal signs flip.  T = 0 acts
-    as storage: pulse reflects out, loop mode unchanged.
+    only reachable on the branch whose off-diagonal signs flip.  Its limit
+    T = 0 stores: the pulse reflects out and the loop mode stays, negated.
     """
     t = float(transmissivity)
     if faulty or t >= 0.5:
         return g.beamsplitter_matrix(t)
-    if t == 0.0:
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
     return g.beamsplitter_matrix(t) * [[1.0, -1.0], [-1.0, 1.0]]
 
 
@@ -386,44 +388,29 @@ def run_loop_sampled(schedule: ControlSchedule, source: SqueezerSpec,
 # ---------------------------------------------------------------------------
 
 
-def epr_pair(source: SqueezerSpec) -> GaussianState:
-    """Two-mode squeezed pair as the loop generates it.
+def memory_experiment(delays, source: SqueezerSpec,
+                      noise: NoiseConfig) -> list[float]:
+    """Inseparability of an EPR pair after storing one arm, one per delay.
 
-    Pulse 1 rotated by 90 degrees, then mixed 50/50 with pulse 2; arm 1
-    exits, arm 2 is the loop mode.
+    One window stream over ``compile_storage(delays)`` reads each pair at
+    its arm-2 record, where arm 1 sits n + 1 modes back, so the bins give
+    every trip: pulse 1 makes one before the mixing, arm 2 makes n + 1.
+    Empty or negative delays raise ValueError.
     """
-    state = g.tensor(g.squeezed_vacuum(source), g.squeezed_vacuum(source))
-    state = g.apply_phase(state, 0, 90.0)
-    return g.apply_beamsplitter(state, 0, 1, 0.5)
-
-
-def memory_experiment(n_delay: int, source: SqueezerSpec, noise: NoiseConfig,
-                      accumulation: str = "random_walk") -> float:
-    """Inseparability of an EPR pair after storing one arm for n round trips.
-
-    Per stored trip the arm suffers the loop loss; the phase jitter
-    accumulates as a random walk (total std = per-trip std * sqrt(n)), or
-    linearly as a coherent drift (total = per-trip * n) when
-    ``accumulation="linear"`` is selected.  Detection efficiency, when
-    below 1, applies to both arms at measurement.
-    """
-    if n_delay < 0:
-        raise ValueError("n_delay must be >= 0")
-    if accumulation not in ("random_walk", "linear"):
-        raise ValueError(f"unknown accumulation {accumulation!r}")
-    state = epr_pair(source)
-    c, mean = state.cov.copy(), state.mean.copy()  # NoiseConfig checked the rates
-    if noise.mode == "realistic" and n_delay > 0:
-        if noise.loop_loss_per_trip > 0.0:
-            g._apply_loss_inplace(c, mean, 1,
-                                  (1.0 - noise.loop_loss_per_trip) ** n_delay)
-        if noise.phase_jitter_deg_per_trip > 0.0:
-            scale = np.sqrt(n_delay) if accumulation == "random_walk" else n_delay
-            g._apply_dephasing_inplace(c, mean, 1,
-                                       noise.phase_jitter_deg_per_trip * scale)
-    if noise.mode == "realistic" and noise.detection_efficiency < 1.0:
-        g._apply_loss_inplace(c, mean, 0, noise.detection_efficiency)
-        g._apply_loss_inplace(c, mean, 1, noise.detection_efficiency)
-    var_minus = c[0, 0] + c[2, 2] - 2.0 * c[0, 2]
-    var_plus = c[1, 1] + c[3, 3] + 2.0 * c[1, 3]
-    return float(var_minus + var_plus)
+    delays = list(delays)
+    schedule = compile_storage(delays, noise)
+    # arm 2 leaves at its program's last bin e, as output e - 1
+    ends = itertools.accumulate(n + 3 for n in delays)
+    arm2 = {end - 1: i for i, end in enumerate(ends)}
+    values = [0.0] * len(delays)
+    for index, cov in _window_covariances(schedule, source,
+                                          max(3, max(delays) + 2)):
+        i = arm2.get(index)
+        if i is not None:
+            a, b = cov.shape[0] - 2 * (delays[i] + 2), cov.shape[0] - 2
+            c = cov[np.ix_([a, a + 1, b, b + 1], [a, a + 1, b, b + 1])]
+            c = 0.5 * (c + c.T)  # symmetrized as GaussianState stores it
+            var_minus = c[0, 0] + c[2, 2] - 2.0 * c[0, 2]
+            var_plus = c[1, 1] + c[3, 3] + 2.0 * c[1, 3]
+            values[i] = float(var_minus + var_plus)
+    return values

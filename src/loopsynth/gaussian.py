@@ -60,7 +60,7 @@ class GaussianState:
 
     mean has length 2N and cov is 2N x 2N, both in (x1, p1, x2, p2, ...)
     ordering.  The constructor symmetrizes cov and rejects matrices that are
-    asymmetric beyond tolerance or not positive semidefinite within -1e-9.
+    asymmetric or non-PSD beyond tolerances scaled by max(1, max|cov|).
     """
 
     mean: np.ndarray
@@ -76,12 +76,13 @@ class GaussianState:
         if mean.size and (not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov))):
             raise ValueError("non-finite entries in state")
         if mean.size:
+            scale = max(1.0, float(np.max(np.abs(cov))))
             asym = np.max(np.abs(cov - cov.T))
-            if asym > SYMMETRY_TOL:
+            if asym > SYMMETRY_TOL * scale:
                 raise ValueError(f"covariance asymmetric by {asym:.3g}")
             cov = 0.5 * (cov + cov.T)
             lo = np.linalg.eigvalsh(cov)[0]
-            if lo < -PSD_TOL:
+            if lo < -PSD_TOL * scale:
                 raise ValueError(f"covariance not PSD: min eigenvalue {lo:.3g}")
         mean.setflags(write=False)
         cov.setflags(write=False)

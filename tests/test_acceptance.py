@@ -199,7 +199,7 @@ def test_06_large_scale_cluster():
 
 def test_07_memory_sweep_shape():
     noise = NoiseConfig(mode="realistic")  # 7% loss, 7 deg jitter per trip
-    values = [memory_experiment(n, SOURCE, noise) for n in range(0, 12)]
+    values = memory_experiment(range(0, 12), SOURCE, noise)
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert all(v < 1.0 for v in values[:7])  # n <= 6 stays inseparable
     report(7, "memory sweep",
@@ -213,13 +213,13 @@ def test_07_memory_sweep_shape():
     "defaults, the loss-only curve degrades faster than the jitter-only "
     "curve at every delay n <= 11; jitter dominance requires either "
     ">= 8.7 deg per trip or coherent-drift accumulation (see "
-    "memory_experiment(accumulation='linear') and the decisions ledger)")
+    "the decisions ledger)")
 def test_07c_jitter_dominates_loss_at_defaults():
     jitter_only = NoiseConfig(mode="realistic", loop_loss_per_trip=0.0)
     loss_only = NoiseConfig(mode="realistic", phase_jitter_deg_per_trip=0.0)
-    baseline = memory_experiment(0, SOURCE, NoiseConfig(mode="ideal"))
-    jitter_deg = memory_experiment(11, SOURCE, jitter_only) - baseline
-    loss_deg = memory_experiment(11, SOURCE, loss_only) - baseline
+    baseline = memory_experiment([0], SOURCE, NoiseConfig(mode="ideal"))[0]
+    jitter_deg = memory_experiment([11], SOURCE, jitter_only)[0] - baseline
+    loss_deg = memory_experiment([11], SOURCE, loss_only)[0] - baseline
     print(f"ACCEPTANCE 7c: jitter-only degradation {jitter_deg:.4f} vs "
           f"loss-only {loss_deg:.4f} at n=11")
     assert jitter_deg > loss_deg

@@ -197,6 +197,21 @@ def test_memory_rejects_fewer_than_two_shots(tmp_path, capsys, shots):
     assert not csv.exists()
 
 
+def test_memory_rejects_max_n_below_one(tmp_path, capsys):
+    csv = tmp_path / "mem.csv"
+    assert main(["memory", "--max-n", "0", "--csv", str(csv)]) == 1
+    assert "error: max-n must be >= 1" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+def test_memory_accumulation_flag_is_gone(tmp_path):
+    # coherent drift is one phase error shared by every trip, not a bin
+    with pytest.raises(SystemExit) as err:
+        main(["memory", "--accumulation", "linear",
+              "--csv", str(tmp_path / "mem.csv")])
+    assert err.value.code == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "{schedule}", "--efficiency", "2"], "detection efficiency"),
     (["verify", "{schedule}", "--squeeze-db", "nan"], "non-finite squeezer"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth.compiler import (GOLDEN_RATIO_T, TargetState,
+from loopsynth.compiler import (GOLDEN_RATIO_T, TargetState, compile_storage,
                                 compile_target, delta_for_transmissivity,
                                 fibonacci, hardware_check)
 
@@ -153,6 +153,20 @@ def test_ghz3_feasible_with_expected_levels():
                                                   abs=1e-6)
     assert report.delta.witness is not None
     assert report.delta.required[1] == pytest.approx(99.7356103, abs=1e-6)
+
+
+def test_storage_sweep_feasible():
+    assert hardware_check(compile_storage(range(1, 12))).feasible
+
+
+def test_storage_programs_fold_the_flipped_branch():
+    # per delay n: load at 90 degrees, mix 50/50, n blocked storage bins
+    # carrying the 180-degree fold, release
+    sched = compile_storage([0, 2])
+    assert sched.transmissivities() == (1.0, 0.5, 1.0, 1.0, 0.5, 0.0, 0.0, 1.0)
+    assert sched.thetas() == (90.0, 0.0, 0.0, 90.0, 0.0, 180.0, 180.0, 0.0)
+    assert [b.source for b in sched.bins] == ["squeezer"] * 2 + ["blocked"] \
+        + ["squeezer"] * 2 + ["blocked"] * 3
 
 
 def test_ghz4_infeasible():

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopsynth import engine
-from loopsynth.compiler import TargetState, compile_target
-from loopsynth.engine import (epr_pair, inject_fault, memory_experiment,
-                              run_loop, run_loop_sampled, run_unrolled)
+from loopsynth.compiler import TargetState, compile_storage, compile_target
+from loopsynth.engine import (inject_fault, memory_experiment, run_loop,
+                              run_loop_sampled, run_unrolled)
 from loopsynth.gaussian import (MeasurementPlan, SampleSet, SqueezerSpec,
-                                apply_beamsplitter, apply_loss, apply_phase,
-                                homodyne_condition, marginalize,
-                                squeezed_vacuum, tensor)
+                                apply_beamsplitter, apply_dephasing,
+                                apply_loss, apply_phase, homodyne_condition,
+                                marginalize, squeezed_vacuum, tensor)
 from loopsynth.schedule import BinSetting, ControlSchedule, NoiseConfig
 from loopsynth.verifier import (estimate, linear_cluster_oracle_cov,
                                 nullifiers_for, stream_nullifier_variances,
@@ -276,6 +276,12 @@ FLIPPED_BRANCH_SCHEDULE = ControlSchedule(bins=(
     BinSetting(T=1.0, theta_deg=0.0)))
 
 
+def test_storage_coupling_is_the_flipped_branch_limit():
+    # T = 0 sits at delta = 135 degrees, on the flipped branch
+    limit = engine.bin_coupling(1e-12)
+    assert np.max(np.abs(engine.bin_coupling(0.0) - limit)) <= 1e-6
+
+
 def test_fault_injection_breaks_loop_chain_agreement():
     sched = FLIPPED_BRANCH_SCHEDULE
     dense = run_unrolled(sched, SOURCE)
@@ -425,51 +431,58 @@ def test_window_covariances_are_physical(case):
 
 
 def test_memory_ideal_storage_is_lossless():
-    ideal = NoiseConfig(mode="ideal")
-    baseline = memory_experiment(0, SOURCE, ideal)
-    assert baseline == pytest.approx(10.0 ** -0.5, abs=1e-12)
-    for n in (1, 5, 11):
-        assert memory_experiment(n, SOURCE, ideal) == pytest.approx(baseline,
-                                                                    abs=1e-12)
+    values = memory_experiment(range(12), SOURCE, NoiseConfig(mode="ideal"))
+    for value in values:
+        assert value == pytest.approx(10.0 ** -0.5, abs=1e-12)
 
 
 def test_memory_default_noise_is_monotone_nondecreasing():
     noise = NoiseConfig(mode="realistic")
-    values = [memory_experiment(n, SOURCE, noise) for n in range(0, 12)]
+    values = memory_experiment(range(12), SOURCE, noise)
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
+def stored_pair_value(n, noise):
+    """The storage program's trips written out with the public channels."""
+    eta, sigma = 1.0 - noise.loop_loss_per_trip, noise.phase_jitter_deg_per_trip
+    pulse = apply_phase(squeezed_vacuum(SOURCE), 0, 90.0)
+    pulse = apply_dephasing(apply_loss(pulse, 0, eta), 0, sigma)  # one trip
+    state = apply_beamsplitter(tensor(pulse, squeezed_vacuum(SOURCE)), 0, 1, 0.5)
+    state = apply_loss(state, 1, eta ** (n + 1))  # arm 2 makes n + 1 trips
+    state = apply_dephasing(state, 1, sigma * np.sqrt(n + 1))
+    for arm in (0, 1):
+        state = apply_loss(state, arm, noise.detection_efficiency)
+    return epr_value(state)
+
+
 def test_memory_equals_channel_composition():
-    # storing n trips must equal the one-shot channel with the accumulated
-    # loss and random-walk jitter applied to the stored arm
-    from loopsynth.gaussian import apply_dephasing, apply_loss
+    # the stream must give each arm the trips the storage program plays
+    for noise in (NoiseConfig(mode="realistic"),
+                  NoiseConfig(mode="realistic", loop_loss_per_trip=0.03,
+                              phase_jitter_deg_per_trip=11.0,
+                              detection_efficiency=0.85)):
+        values = memory_experiment(range(12), SOURCE, noise)
+        for n, value in enumerate(values):
+            assert value == pytest.approx(stored_pair_value(n, noise), abs=1e-12)
 
+
+def test_memory_sweep_equals_one_run_per_delay():
     noise = NoiseConfig(mode="realistic")
-    n = 6
-    state = epr_pair(SOURCE)
-    state = apply_loss(state, 1, (1.0 - noise.loop_loss_per_trip) ** n)
-    state = apply_dephasing(state, 1,
-                            noise.phase_jitter_deg_per_trip * np.sqrt(n))
-    assert memory_experiment(n, SOURCE, noise) == pytest.approx(
-        epr_value(state), abs=1e-12)
+    sweep = memory_experiment(range(12), SOURCE, noise)
+    for n, value in enumerate(sweep):
+        assert abs(memory_experiment([n], SOURCE, noise)[0] - value) < 1e-14
 
 
-def test_memory_linear_drift_crosses_threshold_between_5_and_11():
+def test_memory_equals_dense_storage_schedule():
     noise = NoiseConfig(mode="realistic")
-    values = {n: memory_experiment(n, SOURCE, noise, accumulation="linear")
-              for n in range(1, 12)}
-    crossing = min(n for n, v in values.items() if v > 1.0)
-    assert 5 <= crossing <= 11
+    for n in range(6):
+        dense = run_unrolled(compile_storage([n], noise), SOURCE)
+        pair = marginalize(dense, [0, n + 1])  # outputs 1 and n + 2
+        assert memory_experiment([n], SOURCE, noise)[0] == pytest.approx(
+            epr_value(pair), abs=1e-12)
 
 
-def test_memory_linear_drift_is_jitter_dominated():
-    jitter_only = NoiseConfig(mode="realistic", loop_loss_per_trip=0.0)
-    loss_only = NoiseConfig(mode="realistic", phase_jitter_deg_per_trip=0.0)
-    for n in range(2, 12):
-        assert memory_experiment(n, SOURCE, jitter_only, accumulation="linear") \
-            > memory_experiment(n, SOURCE, loss_only, accumulation="linear")
-
-
-def test_memory_rejects_unknown_accumulation():
-    with pytest.raises(ValueError):
-        memory_experiment(1, SOURCE, NoiseConfig(), accumulation="quadratic")
+@pytest.mark.parametrize("delays", [[], [3, -1]])
+def test_memory_rejects_empty_or_negative_delays(delays):
+    with pytest.raises(ValueError, match="delay"):
+        memory_experiment(delays, SOURCE, NoiseConfig())

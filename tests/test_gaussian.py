@@ -106,6 +106,15 @@ def test_asymmetric_covariance_rejected():
         GaussianState(np.zeros(2), cov)
 
 
+def test_validation_tolerances_scale_with_the_largest_entry():
+    big = np.diag([1e6, 1e6])
+    GaussianState(np.zeros(2), big + [[0.0, 1e-3], [0.0, 0.0]])  # 1e-9 relative
+    with pytest.raises(ValueError, match="asymmetric"):  # 1e-6 relative
+        GaussianState(np.zeros(2), big + [[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="PSD"):
+        GaussianState(np.zeros(2), np.diag([1e6, -1e-2]))
+
+
 def test_non_psd_covariance_rejected():
     with pytest.raises(ValueError, match="PSD"):
         GaussianState(np.zeros(2), np.diag([0.25, -0.1]))

@@ -270,18 +270,30 @@ def test_stream_equals_analytic_variance_on_validated_records(target, mode,
     # variance_analytic takes from the validated run_loop record, bit for
     # bit, including at the chain head where fewer modes than the window
     # are held
-    sched = compile_target(target, NoiseConfig(mode=mode))
+    assert_stream_equals_records(target, NoiseConfig(mode=mode), SOURCE, window)
+
+
+def test_records_of_a_90_db_source_validate_and_equal_the_stream():
+    # entries near 6e6 carry round-off above the absolute 1e-8 symmetry
+    # tolerance; the tolerance scales with the entries, so records validate
+    assert_stream_equals_records(TargetState.linear_cluster(5),
+                                 NoiseConfig(mode="realistic"),
+                                 SqueezerSpec(90.0, 90.0), 3)
+
+
+def assert_stream_equals_records(target, noise, source, window):
+    sched = compile_target(target, noise)
     specs = [spec for spec in dict.fromkeys(
         part for crit in nullifiers_for(target) for part in criterion_parts(crit))
         if max(spec.modes()) - min(spec.modes()) < window]
     assert specs
-    records = {r.index: r for r in run_loop(sched, SOURCE, window=window)}
+    records = {r.index: r for r in run_loop(sched, source, window=window)}
     expected = []
     for spec in specs:
         record = records[max(spec.modes())]
         mode_map = {m: i for i, m in enumerate(record.window_modes)}
         expected.append(variance_analytic(record.state, spec, mode_map))
-    assert stream_nullifier_variances(sched, SOURCE, specs, window=window) \
+    assert stream_nullifier_variances(sched, source, specs, window=window) \
         == expected
 
 
