@@ -7,9 +7,9 @@ Commands:
   selfcheck  run the built-in consistency suite
 
 verify evaluates every criterion, paired or single, from the streaming
-engine at any schedule length: the analytic column from one windowed run
-whose window spans the widest nullifier, the sampled column from one
-sampling run per compatible measurement plan.
+engine at any schedule length: the analytic column from one streamed run
+that holds each mode until the last nullifier reading it, the sampled
+column from one sampling run per compatible measurement plan.
 
 Exit codes: 0 success, 1 usage or parse error, 2 hardware infeasibility
 under --strict-hardware, 3 selfcheck failure.  All tabular outputs are CSV

@@ -125,10 +125,13 @@ def compile_storage(delays, noise: NoiseConfig | None = None) -> ControlSchedule
 
     Each program loads pulse 1 at 90 degrees (T = 1), mixes it 50/50 with
     pulse 2, holds arm 2 for n blocked T = 0 bins and releases it (T = 1,
-    blocked).  In the program starting at bin s, arm 1 is output s and arm
-    2 is output s + n + 1.  Empty or negative delays raise ValueError.
+    blocked); from its bin s, arm 1 is output s and arm 2 output s + n + 1.
+    Empty, negative or non-integer delays raise ValueError.
     """
     delays = list(delays)
+    for n in delays:
+        if not hasattr(n, "__index__"):
+            raise ValueError(f"storage delay {n!r} is not an integer")
     if not delays or min(delays) < 0:
         raise ValueError("storage needs one or more delays, none negative")
     program = []

@@ -13,24 +13,24 @@ The drivers differ only in which modes they keep:
 * ``run_unrolled`` steps the dense equivalent chain (one mode per pulse)
   with ``_bin_step`` itself and is the independent reference for small
   schedules.
-* ``run_loop`` streams bin by bin over a preallocated buffer, so memory is
-  independent of the schedule length.  A bin is an affine Gaussian channel
-  from the loop mode to the (exiting, new loop) pair, C -> L C L^T + Q
-  plus the dephasing noise; ``_bin_maps`` composes ``(L, Q)`` once per
-  distinct bin setting by running ``_bin_step`` on a two-mode pair, and
-  the streams apply it as one congruence per bin.  Without a measurement
-  plan the stream keeps a sliding window of recently exited modes plus the
-  loop mode: ``_window_covariances`` yields each window as a raw view of
-  its buffer, which the verifier reads directly, and ``run_loop`` wraps
-  every view into a validated ``GaussianState`` record.  With a plan the
-  stream keeps only the loop mode and produces exact joint homodyne
-  samples by sequential conditioning: one covariance is mapped per bin,
-  and the per-shot means move by that bin's composed map in one matmul.
+* ``run_loop`` streams bin by bin over a buffer of the held modes, so
+  memory is independent of the schedule length.  A bin is an affine
+  Gaussian channel from the loop mode to the (exiting, new loop) pair,
+  C -> L C L^T + Q plus the dephasing noise; ``_bin_maps`` composes
+  ``(L, Q)`` once per distinct bin setting by running ``_bin_step`` on a
+  two-mode pair, and the streams apply it as one congruence per bin.
+  Without a plan the stream holds each exited mode until the last record
+  its reader says reads it: ``_window_covariances`` yields the held block
+  as a raw view, which the verifier reads directly, and ``run_loop`` wraps
+  each view of its sliding window into a validated ``GaussianState``.
+  With a plan the stream keeps only the loop mode and produces exact joint
+  homodyne samples by sequential conditioning: one covariance is mapped per
+  bin, and the per-shot means move by that bin's composed map in one matmul.
   Both streams read every bin's ``T``, ``theta`` and source from the
   schedule and its channels from the schedule's noise.
 * ``run_loop_sampled`` collects one sampling run into a ``SampleSet``.
 * ``memory_experiment`` is the window stream's third reader: it streams
-  ``compiler.compile_storage``'s sweep and reads each stored EPR pair.
+  ``compiler.compile_storage``'s sweep, holding only each stored EPR pair.
 
 The coupling is branch dependent (``bin_coupling``): T < 1/2, T = 0
 included, sits on the flipped-sign branch, which the compiler compensates
@@ -125,9 +125,13 @@ def _load_pulse(cov: np.ndarray, mean: np.ndarray, slot: int,
     mean[..., q] = 0.0
 
 
-def _drop_leading_mode(cov: np.ndarray, dim: int) -> None:
-    """Marginalize slot 0 out of the leading ``dim`` quadratures."""
-    cov[:dim - 2, :dim - 2] = cov[2:dim, 2:dim]
+def _drop_mode(cov: np.ndarray, dim: int, slot: int) -> None:
+    """Marginalize ``slot`` out of the leading ``dim`` quadratures."""
+    lo = 2 * slot
+    cov[lo:dim - 2, lo:dim - 2] = cov[lo + 2:dim, lo + 2:dim]
+    if lo:
+        cov[lo:dim - 2, :lo] = cov[lo + 2:dim, :lo]
+        cov[:lo, lo:dim - 2] = cov[:lo, lo + 2:dim]
 
 
 @dataclass(frozen=True)
@@ -254,44 +258,38 @@ def _schedule_maps(schedule: ControlSchedule, source: SqueezerSpec):
 
 
 def _window_covariances(schedule: ControlSchedule, source: SqueezerSpec,
-                        window: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(index, cov)`` per non-discarded output, unvalidated.
+                        last_read) -> Iterator[tuple[int, list[int], np.ndarray]]:
+    """Yield ``(index, modes, cov)`` per non-discarded output, unvalidated.
 
-    The stream runs over a (window + 1)-mode buffer and its mean stays zero.
-    ``cov`` is a view of the buffer block holding the exited modes, oldest
-    first, so the newest mode ``index`` is its last pair of columns; it is
-    valid only until the stream is resumed, and it is exactly as stepped
-    (not symmetrized).
+    ``last_read[m]`` is the last record that reads output m (entry 0 is
+    unused); output m is held from record m through max(m, last_read[m]),
+    then marginalized out exactly.  ``modes`` lists the held outputs oldest
+    first, ending with ``index``, and ``cov`` views their block; both are
+    valid until the stream resumes.  The mean is zero; ``cov`` is as stepped.
     """
     maps, dephasing = _schedule_maps(schedule, source)
-    size = 2 * (window + 1)
+    drops: list[list[int]] = [[] for _ in range(schedule.num_outputs + 1)]
+    for m, at in enumerate(last_read[1:len(drops)], start=1):
+        if at < len(drops):  # dropped right after record max(m, at)
+            drops[at if at > m else m].append(m)
+    held = itertools.accumulate((1 - len(due) for due in drops[1:]), initial=0)
+    size = 2 * (max(held) + 2)  # the most held, the loop mode and a pulse
     cov = np.zeros((size, size))
     cov[:2, :2] = g.VACUUM_VARIANCE * np.eye(2)  # the initial loop content
-    held = 0  # exited modes in slots 0..held-1; the loop mode sits in slot held
+    modes: list[int] = []  # the held outputs by slot; the loop mode follows
     for k, setting in enumerate(schedule.bins, start=1):
-        if held == window:
-            _drop_leading_mode(cov, 2 * (held + 1))
-            held -= 1
-        dim = 2 * (held + 2)
-        _map_loop_mode(cov[:dim, :dim], held,
+        dim = 2 * (len(modes) + 2)
+        _map_loop_mode(cov[:dim, :dim], len(modes),
                        maps(setting.T, setting.theta_deg, setting.source),
                        dephasing)
         if k == 1:
-            _drop_leading_mode(cov, dim)  # pre-existing loop content
+            _drop_mode(cov, dim, 0)  # pre-existing loop content
             continue
-        held += 1
-        yield k - 1, cov[:2 * held, :2 * held]
-
-
-def _window_stream(schedule: ControlSchedule, source: SqueezerSpec,
-                   window: int) -> Iterator[RunRecord]:
-    """``_window_covariances`` with each block validated into a record."""
-    for index, cov in _window_covariances(schedule, source, window):
-        held = cov.shape[0] // 2
-        yield RunRecord(index=index, exit_bin=index + 1,
-                        phi_deg=schedule.bins[index].phi_deg,
-                        window_modes=tuple(range(index + 1 - held, index + 1)),
-                        state=GaussianState(np.zeros(2 * held), cov))
+        modes.append(k - 1)
+        yield k - 1, modes, cov[:dim - 2, :dim - 2]
+        for m in drops[k - 1]:
+            _drop_mode(cov, 2 * len(modes) + 2, modes.index(m))
+            modes.remove(m)
 
 
 def _sample_stream(schedule: ControlSchedule, source: SqueezerSpec,
@@ -362,8 +360,13 @@ def run_loop(schedule: ControlSchedule, source: SqueezerSpec, window: int = 8,
             f"plan has {len(sampling.angles_deg)} angles but the schedule "
             f"produces {num_outputs} outputs")
 
-    if sampling is None:
-        yield from _window_stream(schedule, source, window)
+    if sampling is None:  # each block validated into a record
+        last_read = range(window - 1, num_outputs + window)
+        for index, modes, cov in _window_covariances(schedule, source, last_read):
+            yield RunRecord(index=index, exit_bin=index + 1,
+                            phi_deg=schedule.bins[index].phi_deg,
+                            window_modes=tuple(modes),
+                            state=GaussianState(np.zeros(cov.shape[0]), cov))
         return
     columns = _sample_stream(schedule, source, sampling.angles_deg,
                              sampling.shots, np.random.default_rng(seed))
@@ -392,24 +395,24 @@ def memory_experiment(delays, source: SqueezerSpec,
                       noise: NoiseConfig) -> list[float]:
     """Inseparability of an EPR pair after storing one arm, one per delay.
 
-    One window stream over ``compile_storage(delays)`` reads each pair at
-    its arm-2 record, where arm 1 sits n + 1 modes back, so the bins give
-    every trip: pulse 1 makes one before the mixing, arm 2 makes n + 1.
-    Empty or negative delays raise ValueError.
+    One window stream over ``compile_storage(delays)`` holds each arm 1
+    until its arm-2 record, which then holds exactly (arm 1, arm 2).  The
+    bins give every trip: pulse 1 makes one before the mixing, arm 2 makes
+    n + 1.  Empty, negative or non-integer delays raise ValueError.
     """
     delays = list(delays)
     schedule = compile_storage(delays, noise)
     # arm 2 leaves at its program's last bin e, as output e - 1
     ends = itertools.accumulate(n + 3 for n in delays)
     arm2 = {end - 1: i for i, end in enumerate(ends)}
+    last_read = list(range(schedule.num_outputs + 1))
+    for index, i in arm2.items():
+        last_read[index - delays[i] - 1] = index  # arm 1's last read
     values = [0.0] * len(delays)
-    for index, cov in _window_covariances(schedule, source,
-                                          max(3, max(delays) + 2)):
+    for index, _, cov in _window_covariances(schedule, source, last_read):
         i = arm2.get(index)
         if i is not None:
-            a, b = cov.shape[0] - 2 * (delays[i] + 2), cov.shape[0] - 2
-            c = cov[np.ix_([a, a + 1, b, b + 1], [a, a + 1, b, b + 1])]
-            c = 0.5 * (c + c.T)  # symmetrized as GaussianState stores it
+            c = 0.5 * (cov + cov.T)  # symmetrized as GaussianState stores it
             var_minus = c[0, 0] + c[2, 2] - 2.0 * c[0, 2]
             var_plus = c[1, 1] + c[3, 3] + 2.0 * c[1, 3]
             values[i] = float(var_minus + var_plus)

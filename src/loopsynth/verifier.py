@@ -203,12 +203,11 @@ def cluster_nullifier(k: int) -> NullifierSpec:
 
 
 def _coefficient_vector(spec: NullifierSpec, num_modes: int,
-                        mode_map: dict[int, int] | None,
-                        first: int = 1) -> np.ndarray:
-    """Column of each term from ``mode_map``, else mode ``first`` is column 0."""
+                        column) -> np.ndarray:
+    """The spec's coefficients over ``num_modes`` modes, term by ``column(mode)``."""
     c = np.zeros(2 * num_modes)
     for mode, quad, coeff in spec.terms:
-        col = mode_map.get(mode) if mode_map is not None else mode - first
+        col = column(mode)
         if col is None or not 0 <= col < num_modes:
             raise ValueError(f"mode {mode} not present in state")
         c[2 * col + (0 if quad == "x" else 1)] += coeff
@@ -223,7 +222,8 @@ def variance_analytic(state: GaussianState, spec: NullifierSpec,
     by default mode k is column k-1.  A mode outside the state raises
     ValueError.
     """
-    c = _coefficient_vector(spec, state.num_modes, mode_map)
+    column = mode_map.get if mode_map is not None else (lambda mode: mode - 1)
+    c = _coefficient_vector(spec, state.num_modes, column)
     value = float(c @ state.cov @ c)
     shift = float(c @ state.mean)
     return value + shift * shift
@@ -329,14 +329,14 @@ def linear_cluster_oracle_cov(n: int, source: SqueezerSpec) -> GaussianState:
 
 def stream_nullifier_variances(schedule: ControlSchedule, source: SqueezerSpec,
                                specs, window: int | None = None) -> list[float]:
-    """Analytic variance of each spec from a windowed streaming run.
+    """Analytic variance of each spec from one streaming run.
 
-    Each spec is evaluated at the record of its newest mode, whose window
-    then holds all of the spec's modes.  The window defaults to the widest
-    spec span (at least 3); marginalising out older modes is exact, so a
-    wider window costs more and changes values only at round-off.  Specs
-    with a mode outside the outputs or a span wider than the window are
-    rejected before the run.
+    Each spec is evaluated at the record of its newest mode.  By default
+    the stream holds each mode until the newest mode of the last spec that
+    reads it (marginalising out the others is exact); an explicit
+    ``window`` holds the last ``window`` modes, as ``run_loop`` does, and
+    changes values only at round-off.  Specs with a mode outside the
+    outputs or a span wider than the window are rejected before the run.
 
     The values are read straight from the engine's window buffer
     (``engine._window_covariances``), symmetrized as ``GaussianState``
@@ -345,30 +345,32 @@ def stream_nullifier_variances(schedule: ControlSchedule, source: SqueezerSpec,
     record.  The inputs are validated where they are built (schedule, noise
     and source); a negative or non-finite result still raises ValueError.
     """
-    spans = [(min(modes), max(modes)) for modes in (spec.modes() for spec in specs)]
-    if window is None:
-        window = max([3] + [newest - oldest + 1 for oldest, newest in spans])
+    num_outputs = schedule.num_outputs
+    last_read = list(range(num_outputs + 1)) if window is None \
+        else range(window - 1, num_outputs + window)
     by_newest: dict[int, list[int]] = {}
     missing = []
-    for i, (oldest, newest) in enumerate(spans):
-        if oldest < 1 or newest > schedule.num_outputs \
-                or newest - oldest + 1 > window:
-            missing.append(specs[i].label)
-        else:
-            by_newest.setdefault(newest, []).append(i)
+    for i, spec in enumerate(specs):
+        read = spec.modes()
+        if read[0] < 1 or read[-1] > num_outputs or (
+                window is not None and read[-1] - read[0] >= window):
+            missing.append(spec.label)
+            continue
+        by_newest.setdefault(read[-1], []).append(i)
+        if window is None:  # hold each mode until its newest reader
+            for mode in read:
+                last_read[mode] = max(last_read[mode], read[-1])
     if missing:
         raise ValueError(f"window never covered: {', '.join(missing)}")
 
     values = [0.0] * len(specs)
     last = max(by_newest, default=0)
-    for index, cov in _window_covariances(schedule, source, window):
+    for index, modes, cov in _window_covariances(schedule, source, last_read):
         due = by_newest.get(index)
         if due is not None:
-            held = cov.shape[0] // 2
             sym = 0.5 * (cov + cov.T)
             for i in due:
-                c = _coefficient_vector(specs[i], held, None,
-                                        first=index - held + 1)
+                c = _coefficient_vector(specs[i], len(modes), modes.index)
                 values[i] = float(c @ sym @ c)
         if index >= last:
             break

@@ -209,11 +209,10 @@ def test_07_memory_sweep_shape():
 @pytest.mark.xfail(
     strict=True,
     reason="with the random-walk jitter model mandated by the design "
-    "(sigma_total = sigma_per_trip * sqrt(n)) at the stated 7 deg / 7% "
-    "defaults, the loss-only curve degrades faster than the jitter-only "
-    "curve at every delay n <= 11; jitter dominance requires either "
-    ">= 8.7 deg per trip or coherent-drift accumulation (see "
-    "the decisions ledger)")
+    "(the stored arm makes n + 1 trips, so sigma_total = sigma_per_trip * "
+    "sqrt(n + 1)) at the stated 7 deg / 7% defaults, the loss-only curve "
+    "degrades faster than the jitter-only curve at every delay n <= 11; "
+    "jitter dominance at n = 11 requires >= 8.16 deg per trip")
 def test_07c_jitter_dominates_loss_at_defaults():
     jitter_only = NoiseConfig(mode="realistic", loop_loss_per_trip=0.0)
     loss_only = NoiseConfig(mode="realistic", phase_jitter_deg_per_trip=0.0)

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -186,6 +187,17 @@ def test_memory_jitter_and_loss_flags(tmp_path):
     loss = [float(r["inseparability"]) for r in read_csv_rows(loss_csv)]
     assert jitter != loss
     assert all(v > 10.0 ** -0.5 for v in jitter + loss)
+
+
+def test_memory_streams_a_long_sweep(tmp_path):
+    long, short = tmp_path / "long.csv", tmp_path / "short.csv"
+    assert main(["memory", "--max-n", "200", "--csv", str(long)]) == 0
+    assert main(["memory", "--max-n", "11", "--csv", str(short)]) == 0
+    rows = read_csv_rows(long)
+    assert len(rows) == 200
+    assert all(math.isfinite(float(row[col])) for row in rows
+               for col in ("inseparability", "stderr"))
+    assert rows[:11] == read_csv_rows(short)
 
 
 @pytest.mark.parametrize("shots", ["0", "1"])

@@ -1,6 +1,8 @@
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -167,6 +169,13 @@ def test_storage_programs_fold_the_flipped_branch():
     assert sched.thetas() == (90.0, 0.0, 0.0, 90.0, 0.0, 180.0, 180.0, 0.0)
     assert [b.source for b in sched.bins] == ["squeezer"] * 2 + ["blocked"] \
         + ["squeezer"] * 2 + ["blocked"] * 3
+
+
+def test_storage_takes_integer_like_delays_only():
+    assert compile_storage(np.arange(3)) == compile_storage([0, 1, 2])
+    for delay in (2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"delay {delay!r}")):
+            compile_storage([1, delay])
 
 
 def test_ghz4_infeasible():

@@ -419,10 +419,30 @@ def min_uncertainty_eigenvalue(cov):
 def test_window_covariances_are_physical(case):
     # the verifier reads these blocks without validating them
     sched, source = case
-    for _, cov in engine._window_covariances(sched, source, 3):
+    last_read = range(2, sched.num_outputs + 3)  # a 3-mode window
+    for _, _, cov in engine._window_covariances(sched, source, last_read):
         assert np.isfinite(cov).all()
         floor = -1e-12 * max(1.0, np.linalg.norm(cov, 2))
         assert min_uncertainty_eigenvalue(cov) >= floor
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_schedules(), st.data())
+def test_held_modes_follow_last_read(case, data):
+    # each output is held from its own record until its last read; the
+    # blocks are marginals of the stream that holds every output
+    sched, source = case
+    n = sched.num_outputs
+    last_read = [0] + data.draw(st.lists(st.integers(0, n + 1),
+                                         min_size=n, max_size=n))
+    full = {index: cov.copy() for index, _, cov in
+            engine._window_covariances(sched, source, range(n - 1, 2 * n))}
+    for index, modes, cov in engine._window_covariances(sched, source,
+                                                        last_read):
+        assert modes == [m for m in range(1, index + 1)
+                         if m == index or last_read[m] >= index]
+        cols = [2 * (m - 1) + q for m in modes for q in (0, 1)]
+        assert np.max(np.abs(cov - full[index][np.ix_(cols, cols)])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -486,3 +506,25 @@ def test_memory_equals_dense_storage_schedule():
 def test_memory_rejects_empty_or_negative_delays(delays):
     with pytest.raises(ValueError, match="delay"):
         memory_experiment(delays, SOURCE, NoiseConfig())
+
+
+def test_memory_rejects_non_integer_delays():
+    with pytest.raises(ValueError, match="delay 2.0"):
+        memory_experiment([2.0], SOURCE, NoiseConfig())
+
+
+def test_memory_stream_holds_only_the_stored_pair(monkeypatch):
+    noise = NoiseConfig(mode="realistic")
+    held = []
+    stream = engine._window_covariances
+
+    def spy(schedule, source, last_read):
+        for index, modes, cov in stream(schedule, source, last_read):
+            held.append(len(modes))
+            yield index, modes, cov
+
+    monkeypatch.setattr(engine, "_window_covariances", spy)
+    sweep = memory_experiment(range(1, 201), SOURCE, noise)
+    assert max(held) == 2
+    short = memory_experiment(range(1, 12), SOURCE, noise)
+    assert np.max(np.abs(np.array(sweep[:11]) - short)) < 1e-12

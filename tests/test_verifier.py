@@ -273,6 +273,38 @@ def test_stream_equals_analytic_variance_on_validated_records(target, mode,
     assert_stream_equals_records(target, NoiseConfig(mode=mode), SOURCE, window)
 
 
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+@pytest.mark.parametrize("target", STREAM_TARGETS, ids=lambda t: f"{t.kind}{t.n}")
+def test_derived_hold_rule_equals_the_widest_span_window(target, mode):
+    # what keeps the verify CSV bytes: these targets' specs read contiguous
+    # runs of modes, so the derived default holds what the window held
+    sched = compile_target(target, NoiseConfig(mode=mode))
+    specs = list(dict.fromkeys(
+        part for crit in nullifiers_for(target) for part in criterion_parts(crit)))
+    window = max([3] + [max(s.modes()) - min(s.modes()) + 1 for s in specs])
+    assert stream_nullifier_variances(sched, SOURCE, specs) \
+        == stream_nullifier_variances(sched, SOURCE, specs, window=window)
+
+
+def test_sparse_spec_holds_only_its_modes(monkeypatch):
+    sched = compile_target(TargetState.linear_cluster(6),
+                           NoiseConfig(mode="realistic"))
+    spec = NullifierSpec(((1, "x", 1.0), (6, "x", 1.0)))
+    held = {}
+    stream = verifier._window_covariances
+
+    def spy(schedule, source, last_read):
+        for index, modes, cov in stream(schedule, source, last_read):
+            held[index] = list(modes)
+            yield index, modes, cov
+
+    monkeypatch.setattr(verifier, "_window_covariances", spy)
+    value, = stream_nullifier_variances(sched, SOURCE, [spec])
+    assert held[6] == [1, 6]
+    dense = variance_analytic(run_unrolled(sched, SOURCE), spec)
+    assert abs(value - dense) < 1e-12
+
+
 def test_records_of_a_90_db_source_validate_and_equal_the_stream():
     # entries near 6e6 carry round-off above the absolute 1e-8 symmetry
     # tolerance; the tolerance scales with the entries, so records validate
@@ -320,10 +352,11 @@ def test_stream_rejects_non_finite_and_negative_variances(monkeypatch):
     specs = nullifiers_for(TargetState.linear_cluster(4))
 
     def corrupted(value):
-        def stream(schedule, source, window):
+        def stream(schedule, source, last_read):
             for index in range(1, schedule.num_outputs + 1):
-                held = min(index, window)
-                yield index, np.full((2 * held, 2 * held), value)
+                modes = [m for m in range(1, index + 1)
+                         if m == index or last_read[m] >= index]
+                yield index, modes, np.full((2 * len(modes),) * 2, value)
         return stream
 
     for value in (np.nan, np.inf, -1.0):
