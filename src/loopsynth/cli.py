@@ -7,9 +7,9 @@ Commands:
   selfcheck  run the built-in consistency suite
 
 verify evaluates every criterion, paired or single, from the streaming
-engine at any schedule length: the analytic column from one streamed run
-that holds each mode until the last nullifier reading it, the sampled
-column from one sampling run per compatible measurement plan.
+engine at any schedule length: the analytic column from one
+``stream_nullifier_variances`` run, the evaluator memory reads too, and the
+sampled column from one sampling run per compatible measurement plan.
 
 Exit codes: 0 success, 1 usage or parse error, 2 hardware infeasibility
 under --strict-hardware, 3 selfcheck failure.  All tabular outputs are CSV
@@ -168,16 +168,14 @@ def _sampled_estimates(schedule, source, criteria, shots, seed) -> dict:
 
 
 def _report_rows(schedule, source, criteria, shots, seed) -> list[ReportRow]:
-    """One row per criterion: its parts' analytic and sampled variances summed."""
-    parts = [criterion_parts(crit) for crit in criteria]
-    specs = list(dict.fromkeys(spec for crit_parts in parts for spec in crit_parts))
-    analytic = dict(zip(specs, stream_nullifier_variances(schedule, source, specs)))
+    """One row per criterion: its streamed value and its parts' sampled sum."""
+    analytic = stream_nullifier_variances(schedule, source, criteria)
     results = _sampled_estimates(schedule, source, criteria, shots, seed)
     rows = []
-    for crit, crit_parts in zip(criteria, parts):
-        estimates = [results[spec] for spec in crit_parts]
+    for crit, value in zip(criteria, analytic):
+        estimates = [results[spec] for spec in criterion_parts(crit)]
         rows.append(ReportRow(
-            label=crit.label, analytic=sum(analytic[spec] for spec in crit_parts),
+            label=crit.label, analytic=value,
             sampled=sum(e.value for e in estimates),
             stderr=float(np.hypot.reduce([e.stderr for e in estimates])),
             threshold=crit.threshold))

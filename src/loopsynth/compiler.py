@@ -31,6 +31,8 @@ class TargetState:
     def __post_init__(self):
         if self.kind not in TARGET_KINDS:
             raise ValueError(f"unknown target kind {self.kind!r}")
+        if not hasattr(self.n, "__index__"):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.kind == "epr" and self.n != 2:
             raise ValueError("an EPR target has exactly 2 modes")
         if self.n < 2:

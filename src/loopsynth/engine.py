@@ -29,8 +29,9 @@ The drivers differ only in which modes they keep:
   Both streams read every bin's ``T``, ``theta`` and source from the
   schedule and its channels from the schedule's noise.
 * ``run_loop_sampled`` collects one sampling run into a ``SampleSet``.
-* ``memory_experiment`` is the window stream's third reader: it streams
-  ``compiler.compile_storage``'s sweep, holding only each stored EPR pair.
+* ``memory_experiment`` places the EPR criterion on each stored pair of
+  ``compiler.compile_storage``'s sweep and evaluates it with
+  ``verifier.stream_nullifier_variances``, which streams the window.
 
 The coupling is branch dependent (``bin_coupling``): T < 1/2, T = 0
 included, sits on the flipped-sign branch, which the compiler compensates
@@ -395,25 +396,21 @@ def memory_experiment(delays, source: SqueezerSpec,
                       noise: NoiseConfig) -> list[float]:
     """Inseparability of an EPR pair after storing one arm, one per delay.
 
-    One window stream over ``compile_storage(delays)`` holds each arm 1
-    until its arm-2 record, which then holds exactly (arm 1, arm 2).  The
-    bins give every trip: pulse 1 makes one before the mixing, arm 2 makes
-    n + 1.  Empty, negative or non-integer delays raise ValueError.
+    From its bin s, the program of delay n in ``compile_storage(delays)``
+    gives arm 1 as output s and arm 2 as output s + n + 1.  The EPR target's
+    criterion placed on them is read from the verifier's stream, which holds
+    only the stored pair.  Pulse 1 makes one trip before the mixing and arm 2
+    makes n + 1.  Empty, negative or non-integer delays raise ValueError, and
+    so does a negative or non-finite variance.
     """
+    # imported here because verifier imports engine
+    from .verifier import (InseparabilitySpec, NullifierSpec,
+                           stream_nullifier_variances)
     delays = list(delays)
     schedule = compile_storage(delays, noise)
-    # arm 2 leaves at its program's last bin e, as output e - 1
-    ends = itertools.accumulate(n + 3 for n in delays)
-    arm2 = {end - 1: i for i, end in enumerate(ends)}
-    last_read = list(range(schedule.num_outputs + 1))
-    for index, i in arm2.items():
-        last_read[index - delays[i] - 1] = index  # arm 1's last read
-    values = [0.0] * len(delays)
-    for index, _, cov in _window_covariances(schedule, source, last_read):
-        i = arm2.get(index)
-        if i is not None:
-            c = 0.5 * (cov + cov.T)  # symmetrized as GaussianState stores it
-            var_minus = c[0, 0] + c[2, 2] - 2.0 * c[0, 2]
-            var_plus = c[1, 1] + c[3, 3] + 2.0 * c[1, 3]
-            values[i] = float(var_minus + var_plus)
-    return values
+    starts = itertools.accumulate((n + 3 for n in delays), initial=1)
+    arms = [(s, s + n + 1) for s, n in zip(starts, delays)]
+    pairs = [InseparabilitySpec(NullifierSpec(((a, "x", 1.0), (b, "x", -1.0))),
+                                NullifierSpec(((a, "p", 1.0), (b, "p", 1.0))))
+             for a, b in arms]
+    return stream_nullifier_variances(schedule, source, pairs)

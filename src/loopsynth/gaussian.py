@@ -142,6 +142,11 @@ class MeasurementPlan:
         object.__setattr__(self, "angles_deg", tuple(float(a) for a in self.angles_deg))
         if not self.angles_deg:
             raise ValueError("plan needs at least one angle")
+        for i, angle in enumerate(self.angles_deg):
+            if not math.isfinite(angle):
+                raise ValueError(f"angles_deg[{i}] must be finite, got {angle!r}")
+        if not hasattr(self.shots, "__index__"):
+            raise ValueError(f"shots must be an integer, got {self.shots!r}")
         if self.shots < 2:
             raise ValueError("shots must be >= 2")
 

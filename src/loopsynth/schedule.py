@@ -41,6 +41,10 @@ class BinSetting:
     def __post_init__(self):
         if not 0.0 <= self.T <= 1.0:
             raise ValueError(f"transmissivity {self.T} outside [0, 1]")
+        for name in ("theta_deg", "phi_deg"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.source not in SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
 
@@ -81,8 +85,9 @@ class ControlSchedule:
         object.__setattr__(self, "bins", tuple(self.bins))
         if len(self.bins) < 2:
             raise ValueError("schedule needs at least 2 bins")
-        if self.tau_ns <= 0:
-            raise ValueError("tau_ns must be positive")
+        if not 0.0 < self.tau_ns < math.inf:
+            raise ValueError(
+                f"tau_ns must be finite and positive, got {self.tau_ns!r}")
 
     @property
     def num_outputs(self) -> int:

@@ -23,11 +23,11 @@ import numpy as np
 
 from . import gaussian as g
 from .compiler import TargetState, compile_target, fibonacci_numbers
-from .engine import _window_covariances, run_unrolled
+from .engine import _window_covariances
 from .gaussian import GaussianState, MeasurementPlan, SampleSet, SqueezerSpec
 from .schedule import ControlSchedule, NoiseConfig
-# unused here, but perfbench/tracing.py rebinds this name on this module
-from .engine import run_loop  # noqa: F401
+# unused here, but perfbench/tracing.py rebinds both names on this module
+from .engine import run_loop, run_unrolled  # noqa: F401
 
 NULLIFIER_THRESHOLD = 0.5
 INSEPARABILITY_THRESHOLD = 1.0
@@ -46,6 +46,9 @@ class NullifierSpec:
     threshold: ClassVar[float] = NULLIFIER_THRESHOLD
 
     def __post_init__(self):
+        for mode, _, _ in self.terms:
+            if not hasattr(mode, "__index__"):
+                raise ValueError(f"mode must be an integer, got {mode!r}")
         object.__setattr__(self, "terms",
                            tuple((int(m), q, float(c)) for m, q, c in self.terms))
         if not self.terms:
@@ -229,11 +232,6 @@ def variance_analytic(state: GaussianState, spec: NullifierSpec,
     return value + shift * shift
 
 
-def _criterion_value(state: GaussianState, crit) -> float:
-    """A criterion's analytic value: its parts' variances, summed in order."""
-    return sum(variance_analytic(state, spec) for spec in criterion_parts(crit))
-
-
 def estimate(samples: SampleSet, spec: NullifierSpec) -> Estimate:
     """Unbiased sample variance of the combination, with Gaussian stderr.
 
@@ -328,59 +326,65 @@ def linear_cluster_oracle_cov(n: int, source: SqueezerSpec) -> GaussianState:
 
 
 def stream_nullifier_variances(schedule: ControlSchedule, source: SqueezerSpec,
-                               specs, window: int | None = None) -> list[float]:
-    """Analytic variance of each spec from one streaming run.
+                               criteria, window: int | None = None) -> list[float]:
+    """Analytic value of each criterion from one streaming run.
 
-    Each spec is evaluated at the record of its newest mode.  By default
-    the stream holds each mode until the newest mode of the last spec that
-    reads it (marginalising out the others is exact); an explicit
+    The package's one evaluator of a simulated state.  Each criterion is a
+    ``NullifierSpec`` or an ``InseparabilitySpec``; its value is the sum of
+    its parts' variances, each part read at the record of its newest mode.
+    By default the stream holds each mode until the newest mode of the last
+    part that reads it (marginalising out the others is exact); an explicit
     ``window`` holds the last ``window`` modes, as ``run_loop`` does, and
-    changes values only at round-off.  Specs with a mode outside the
+    changes values only at round-off.  Parts with a mode outside the
     outputs or a span wider than the window are rejected before the run.
 
-    The values are read straight from the engine's window buffer
-    (``engine._window_covariances``), symmetrized as ``GaussianState``
-    would store it, so they equal ``variance_analytic`` on the matching
-    ``run_loop`` record bit for bit without building a validated state per
-    record.  The inputs are validated where they are built (schedule, noise
-    and source); a negative or non-finite result still raises ValueError.
+    The variances are read from the engine's raw window buffer, symmetrized
+    as ``GaussianState`` would store it, so each equals ``variance_analytic``
+    on the matching ``run_loop`` record bit for bit with no validated state
+    built per record.  A negative or non-finite variance raises ValueError.
     """
     num_outputs = schedule.num_outputs
     last_read = list(range(num_outputs + 1)) if window is None \
         else range(window - 1, num_outputs + window)
-    by_newest: dict[int, list[int]] = {}
+    by_newest: dict[int, list[tuple[int, NullifierSpec]]] = {}
     missing = []
-    for i, spec in enumerate(specs):
-        read = spec.modes()
-        if read[0] < 1 or read[-1] > num_outputs or (
-                window is not None and read[-1] - read[0] >= window):
-            missing.append(spec.label)
-            continue
-        by_newest.setdefault(read[-1], []).append(i)
-        if window is None:  # hold each mode until its newest reader
-            for mode in read:
-                last_read[mode] = max(last_read[mode], read[-1])
+    for owner, crit in enumerate(criteria):
+        for spec in criterion_parts(crit):
+            read = spec.modes()
+            if read[0] < 1 or read[-1] > num_outputs or (
+                    window is not None and read[-1] - read[0] >= window):
+                missing.append(spec.label)
+                continue
+            by_newest.setdefault(read[-1], []).append((owner, spec))
+            if window is None:  # hold each mode until its newest reader
+                for mode in read:
+                    last_read[mode] = max(last_read[mode], read[-1])
     if missing:
-        raise ValueError(f"window never covered: {', '.join(missing)}")
+        raise ValueError(
+            f"window never covered: {', '.join(dict.fromkeys(missing))}")
 
-    values = [0.0] * len(specs)
+    # at most two parts each, so a total is its parts' in-order sum exactly
+    totals = [0.0] * len(criteria)
+    bad = []
     last = max(by_newest, default=0)
     for index, modes, cov in _window_covariances(schedule, source, last_read):
         due = by_newest.get(index)
         if due is not None:
             sym = 0.5 * (cov + cov.T)
-            for i in due:
-                c = _coefficient_vector(specs[i], len(modes), modes.index)
-                values[i] = float(c @ sym @ c)
+            for owner, spec in due:
+                c = _coefficient_vector(spec, len(modes), modes.index)
+                value = float(c @ sym @ c)
+                # a variance is never negative: one below zero is round-off
+                if not 0.0 <= value < math.inf:
+                    bad.append(spec.label)
+                totals[owner] += value
         if index >= last:
             break
-    # a variance is never negative: one below zero is round-off, not physics
-    bad = [specs[i].label for i, v in enumerate(values)
-           if not (math.isfinite(v) and v >= 0.0)]
     if bad:
         raise ValueError(
-            f"negative or non-finite nullifier variance: {', '.join(bad)}")
-    return values
+            "negative or non-finite nullifier variance: "
+            + ", ".join(dict.fromkeys(bad)))
+    return totals
 
 
 CALIBRATION_TARGETS: tuple[tuple[str, TargetState, int, float], ...] = (
@@ -424,8 +428,9 @@ def calibrate_efficiency(source: SqueezerSpec | None = None,
                          targets=CALIBRATION_TARGETS) -> CalibrationResult:
     """Fit one detection efficiency to the measured reference values.
 
-    Base values are simulated with the given loop noise (realistic defaults)
-    and unit detection efficiency; an exiting-mode loss channel of
+    Base values are streamed by ``stream_nullifier_variances``, one run per
+    target, with the given loop noise (realistic defaults) and unit
+    detection efficiency; an exiting-mode loss channel of
     transmittance eta then maps any criterion value v to
     eta*v + (1-eta)*vacuum, so the least-squares fit is closed form.
     Also reports the efficiency the EPR row alone implies against the
@@ -440,14 +445,13 @@ def calibrate_efficiency(source: SqueezerSpec | None = None,
         if name in base:
             continue
         criteria = nullifiers_for(target)
-        state = run_unrolled(compile_target(target, noise=noise), source)
-        base[name] = [
-            (crit.label, _criterion_value(state, crit), crit.vacuum_variance())
-            for crit in criteria
-        ]
+        values = stream_nullifier_variances(
+            compile_target(target, noise=noise), source, criteria)
+        base[name] = [(crit.label, value, crit.vacuum_variance())
+                      for crit, value in zip(criteria, values)]
         if name == "epr":
-            ideal = run_unrolled(compile_target(target), source)
-            ideal_epr = _criterion_value(ideal, criteria[0])
+            ideal_epr, = stream_nullifier_variances(
+                compile_target(target), source, criteria)
 
     rows_raw = []
     for name, _, row_index, measured in targets:

@@ -15,6 +15,7 @@ trip exact rather than approximate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +34,16 @@ class WaveformConfig:
     t0_ns: float | None = None  # first-mode center; default frame_t/2
 
     def __post_init__(self):
-        if self.gamma_per_s <= 0:
-            raise ValueError("gamma must be positive")
+        for name in ("sample_rate_hz", "frame_t_ns", "gamma_per_s", "tau_ns"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.sample_rate_hz * self.frame_t_ns * 1e-9 < 8:
             raise ValueError("fewer than 8 samples per processing window")
         if self.t0_ns is None:
             object.__setattr__(self, "t0_ns", self.frame_t_ns / 2.0)
+        if not math.isfinite(self.t0_ns):
+            raise ValueError(f"t0_ns must be finite, got {self.t0_ns!r}")
 
     @property
     def dt_ns(self) -> float:

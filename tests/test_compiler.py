@@ -17,6 +17,16 @@ def fib_closed_form(k):
     return round((((1 + root5) / 2) ** k - ((1 - root5) / 2) ** k) / root5)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+def test_target_rejects_non_integer_mode_count(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        TargetState("ghz", n)
+
+
+def test_target_accepts_numpy_mode_count():
+    assert compile_target(TargetState("ghz", np.int64(3))).num_outputs == 3
+
+
 def test_fibonacci_base_cases():
     assert fibonacci(0) == 0
     assert fibonacci(1) == 1

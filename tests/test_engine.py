@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth import engine
+from loopsynth import engine, verifier
 from loopsynth.compiler import TargetState, compile_storage, compile_target
 from loopsynth.engine import (inject_fault, memory_experiment, run_loop,
                               run_loop_sampled, run_unrolled)
@@ -446,6 +446,59 @@ def test_held_modes_follow_last_read(case, data):
 
 
 # ---------------------------------------------------------------------------
+# stationary state of the endless chain
+# ---------------------------------------------------------------------------
+
+
+def stationary_record(schedule, source):
+    """The window-3 record that the endless chain's repeating bin settles on.
+
+    After its first bin the compiled chain repeats one setting, so the held
+    block W (two held modes and the loop mode, 6x6) follows one affine map
+    W -> A(W) + B: map the loop mode through the bin, then drop the oldest
+    mode.  A is built column by column from the engine's own steps, and its
+    fixed point, mapped through the bin once more, is the stationary record
+    of three modes.  Returns that record and A's spectral radius.
+    """
+    repeating = {(b.T, b.theta_deg, b.source) for b in schedule.bins[1:]}
+    assert len(repeating) == 1  # phi only picks the basis when sampling
+    maps, dephasing = engine._schedule_maps(schedule, source)
+    bin_map = maps(*repeating.pop())
+
+    def mapped(block):
+        cov = np.zeros((8, 8))
+        cov[:6, :6] = block
+        engine._map_loop_mode(cov, 2, bin_map, dephasing)
+        return cov
+
+    def step(block):
+        cov = mapped(block)
+        engine._drop_mode(cov, 8, 0)
+        return cov[:6, :6].ravel()
+
+    offset = step(np.zeros((6, 6)))
+    linear = np.column_stack([step(unit.reshape(6, 6)) - offset
+                              for unit in np.eye(36)])
+    fixed = np.linalg.solve(np.eye(36) - linear, offset)
+    radius = float(np.max(np.abs(np.linalg.eigvals(linear))))
+    return mapped(fixed.reshape(6, 6))[:6, :6], radius
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseConfig(mode="ideal"),
+    NoiseConfig(mode="realistic", detection_efficiency=0.911),
+], ids=["ideal", "realistic"])
+def test_endless_chain_settles_on_its_stationary_record(noise):
+    schedule = compile_target(TargetState.infinite_cluster(400), noise)
+    stationary, radius = stationary_record(schedule, SOURCE)
+    assert radius < 1.0
+    worst = max(float(np.max(np.abs(record.state.cov - stationary)))
+                for record in run_loop(schedule, SOURCE, window=3)
+                if record.index >= 40)
+    assert worst < 1e-12
+
+
+# ---------------------------------------------------------------------------
 # quantum memory
 # ---------------------------------------------------------------------------
 
@@ -513,17 +566,33 @@ def test_memory_rejects_non_integer_delays():
         memory_experiment([2.0], SOURCE, NoiseConfig())
 
 
+def test_memory_rejects_non_finite_and_negative_variances(monkeypatch):
+    def corrupted(value):
+        def stream(schedule, source, last_read):
+            for index in range(1, schedule.num_outputs + 1):
+                modes = [m for m in range(1, index + 1)
+                         if m == index or last_read[m] >= index]
+                yield index, modes, np.full((2 * len(modes),) * 2, value)
+        return stream
+
+    for value in (np.nan, -1.0):
+        monkeypatch.setattr(verifier, "_window_covariances", corrupted(value))
+        with pytest.raises(ValueError, match="negative or non-finite"), \
+                np.errstate(invalid="ignore"):
+            memory_experiment(range(1, 4), SOURCE, NoiseConfig(mode="realistic"))
+
+
 def test_memory_stream_holds_only_the_stored_pair(monkeypatch):
     noise = NoiseConfig(mode="realistic")
     held = []
-    stream = engine._window_covariances
+    stream = verifier._window_covariances
 
     def spy(schedule, source, last_read):
         for index, modes, cov in stream(schedule, source, last_read):
             held.append(len(modes))
             yield index, modes, cov
 
-    monkeypatch.setattr(engine, "_window_covariances", spy)
+    monkeypatch.setattr(verifier, "_window_covariances", spy)
     sweep = memory_experiment(range(1, 201), SOURCE, noise)
     assert max(held) == 2
     short = memory_experiment(range(1, 12), SOURCE, noise)

@@ -502,6 +502,21 @@ def test_sampling_is_deterministic_under_seed():
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("angles, shots, message", [
+    ((float("nan"), 0.0), 10, r"angles_deg\[0\] must be finite, got nan"),
+    ((0.0, float("inf")), 10, r"angles_deg\[1\] must be finite, got inf"),
+    ((0.0,), 2.5, "shots must be an integer"),
+    ((0.0,), 10.0, "shots must be an integer"),
+])
+def test_measurement_plan_rejects_malformed_fields(angles, shots, message):
+    with pytest.raises(ValueError, match=message):
+        MeasurementPlan(angles, shots=shots)
+
+
+def test_measurement_plan_accepts_numpy_shot_counts():
+    assert MeasurementPlan((0.0,), shots=np.int64(10)).shots == 10
+
+
 def test_sampling_rejects_plan_mismatch():
     with pytest.raises(ValueError):
         sample_quadratures(vacuum(2), MeasurementPlan((0.0,), shots=10), seed=0)

@@ -109,3 +109,19 @@ def test_non_finite_or_negative_jitter_rejected(jitter):
 def test_bad_source_rejected():
     with pytest.raises(ValueError, match="source"):
         BinSetting(T=0.5, source="laser")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("theta_deg", float("nan")), ("theta_deg", float("-inf")),
+    ("phi_deg", float("inf")), ("phi_deg", float("nan")),
+])
+def test_bin_setting_rejects_non_finite_angles(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BinSetting(T=0.5, **{field: value})
+
+
+@pytest.mark.parametrize("tau_ns", [float("nan"), float("inf"), 0.0, -66.0])
+def test_schedule_rejects_non_finite_or_non_positive_tau(tau_ns):
+    bins = (BinSetting(T=1.0), BinSetting(T=1.0))
+    with pytest.raises(ValueError, match="tau_ns must be finite and positive"):
+        ControlSchedule(bins=bins, tau_ns=tau_ns)

@@ -70,6 +70,17 @@ def test_spec_rejects_conflicting_quadratures():
         NullifierSpec(((1, "x", 1.0), (1, "p", 1.0)))
 
 
+@pytest.mark.parametrize("mode", [1.5, 2.0, "1", None])
+def test_spec_rejects_non_integer_modes(mode):
+    with pytest.raises(ValueError, match="mode must be an integer"):
+        NullifierSpec(((mode, "x", 1.0), (3, "x", -1.0)))
+
+
+def test_spec_accepts_numpy_integer_modes():
+    spec = NullifierSpec(((np.int64(1), "x", 1.0), (np.int32(2), "x", -1.0)))
+    assert spec.modes() == (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # analytic evaluation
 # ---------------------------------------------------------------------------
@@ -286,6 +297,33 @@ def test_derived_hold_rule_equals_the_widest_span_window(target, mode):
         == stream_nullifier_variances(sched, SOURCE, specs, window=window)
 
 
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+@pytest.mark.parametrize("target", STREAM_TARGETS, ids=lambda t: f"{t.kind}{t.n}")
+def test_criteria_equal_their_parts_summed_in_order(target, mode):
+    # the flat part list evaluated once, then each criterion's parts summed
+    # in order: what keeps the verify CSV bytes
+    sched = compile_target(target, NoiseConfig(mode=mode))
+    criteria = nullifiers_for(target)
+    specs = list(dict.fromkeys(
+        part for crit in criteria for part in criterion_parts(crit)))
+    parts = dict(zip(specs, stream_nullifier_variances(sched, SOURCE, specs)))
+    expected = [sum(parts[spec] for spec in criterion_parts(crit))
+                for crit in criteria]
+    assert stream_nullifier_variances(sched, SOURCE, criteria) == expected
+
+
+def test_mixed_criteria_give_one_value_per_entry_in_order():
+    sched = compile_target(TargetState.linear_cluster(3),
+                           NoiseConfig(mode="realistic"))
+    pair, = nullifiers_for(TargetState.epr())
+    single = cluster_nullifier(2)
+    first, second, alone = stream_nullifier_variances(
+        sched, SOURCE, [pair.first, pair.second, single])
+    mixed = [single, pair, pair.second]
+    assert stream_nullifier_variances(sched, SOURCE, mixed) \
+        == [alone, first + second, second]
+
+
 def test_sparse_spec_holds_only_its_modes(monkeypatch):
     sched = compile_target(TargetState.linear_cluster(6),
                            NoiseConfig(mode="realistic"))
@@ -366,6 +404,26 @@ def test_stream_rejects_non_finite_and_negative_variances(monkeypatch):
             stream_nullifier_variances(sched, SOURCE, specs)
 
 
+def test_stream_names_a_shared_part_once(monkeypatch):
+    # every GHZ criterion carries the total momentum
+    target = TargetState.ghz(4)
+    sched = compile_target(target)
+    with pytest.raises(ValueError, match="window never covered") as uncovered:
+        stream_nullifier_variances(sched, SOURCE, nullifiers_for(target), window=3)
+    assert str(uncovered.value).count("p1+p2+p3+p4") == 1
+
+    def negative(schedule, source, last_read):
+        for index in range(1, schedule.num_outputs + 1):
+            modes = [m for m in range(1, index + 1)
+                     if m == index or last_read[m] >= index]
+            yield index, modes, np.full((2 * len(modes),) * 2, -1.0)
+
+    monkeypatch.setattr(verifier, "_window_covariances", negative)
+    with pytest.raises(ValueError, match="negative or non-finite") as refused:
+        stream_nullifier_variances(sched, SOURCE, nullifiers_for(target))
+    assert str(refused.value).count("p1+p2+p3+p4") == 1
+
+
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
@@ -383,6 +441,24 @@ def test_fitted_efficiency_reproduces_reference_rows():
     assert 0.0 < result.efficiency <= 1.0
     assert result.max_abs_residual() <= 0.08
     assert len(result.rows) == 11
+
+
+def test_calibration_streams_the_dense_reference_values():
+    # the dense chain stays the oracle of the streamed base values
+    result = calibrate_efficiency()
+    noise = NoiseConfig(mode="realistic")
+    for (_, target, index, _), row in zip(CALIBRATION_TARGETS, result.rows):
+        state = run_unrolled(compile_target(target, noise=noise), SqueezerSpec())
+        crit = nullifiers_for(target)[index]
+        dense = sum(variance_analytic(state, spec) for spec in criterion_parts(crit))
+        assert abs(row.base_value - dense) < 1e-12
+    pair, = nullifiers_for(TargetState.epr())
+    ideal = run_unrolled(compile_target(TargetState.epr()), SqueezerSpec())
+    ideal_value = sum(variance_analytic(ideal, spec) for spec in criterion_parts(pair))
+    epr_row = result.rows[0]
+    implied = (epr_row.vacuum_value - epr_row.measured) \
+        / (epr_row.vacuum_value - ideal_value)
+    assert abs(result.epr_row_efficiency - implied) < 1e-12
 
 
 def test_unit_efficiency_fits_worse_than_calibrated():

@@ -65,6 +65,23 @@ def test_degenerate_grid_rejected():
         mode_function(WaveformConfig(), 2, num_samples=20)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sample_rate_hz", float("nan")), ("sample_rate_hz", 0.0),
+    ("frame_t_ns", float("inf")), ("frame_t_ns", -46.0),
+    ("gamma_per_s", float("inf")), ("gamma_per_s", 0.0),
+    ("tau_ns", 0.0), ("tau_ns", float("nan")),
+])
+def test_config_rejects_non_finite_or_non_positive_timing(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        WaveformConfig(**{field: value})
+
+
+@pytest.mark.parametrize("t0_ns", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_first_center(t0_ns):
+    with pytest.raises(ValueError, match="t0_ns must be finite"):
+        WaveformConfig(t0_ns=t0_ns)
+
+
 def test_noiseless_round_trip_is_identity():
     config = WaveformConfig()
     rng = np.random.default_rng(31)
