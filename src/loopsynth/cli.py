@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .compiler import TargetState, compile_target, hardware_check
-from .engine import memory_experiment, run_loop_sampled
+from .engine import FAULTS, memory_experiment, run_loop_sampled
 from .gaussian import SqueezerSpec
 from .schedule import (DEFAULT_TAU_NS, ControlSchedule, NoiseConfig,
                        ScheduleFormatError, parse_schedule, serialize_schedule)
@@ -37,7 +37,15 @@ from .verifier import (criterion_parts, estimate, nullifiers_for,
 from .engine import run_unrolled  # noqa: F401
 from .verifier import variance_analytic  # noqa: F401
 
-_TARGET_CHOICES = ("epr", "ghz", "star", "cluster1d", "cluster2", "infinite")
+# verify tries these in order; at n = 2 ghz reads as epr, star and cluster1d as cluster2
+_TARGETS = {
+    "epr": lambda n: TargetState.epr(),
+    "cluster2": lambda n: TargetState.linear_cluster(2),
+    "ghz": TargetState.ghz,
+    "cluster1d": TargetState.linear_cluster,
+    "star": TargetState.star_cluster,
+    "infinite": TargetState.infinite_cluster,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,51 +55,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _target_from_name(name: str, n: int) -> TargetState:
-    if name == "epr":
-        return TargetState.epr()
-    if name == "ghz":
-        return TargetState.ghz(n)
-    if name == "star":
-        return TargetState.star_cluster(n)
-    if name == "cluster1d":
-        return TargetState.linear_cluster(n)
-    if name == "cluster2":
-        return TargetState.linear_cluster(2)
-    if name == "infinite":
-        return TargetState.infinite_cluster(n)
-    raise ValueError(name)
-
-
 def _infer_target(schedule: ControlSchedule) -> tuple[str, TargetState]:
-    """Match a schedule's (T, theta) pattern against the compiled targets."""
-    ts = np.array(schedule.transmissivities())
-    thetas = np.array([t % 360.0 for t in schedule.thetas()])
-
-    def matches(candidate: TargetState) -> bool:
-        ref = compile_target(candidate)
-        if len(ref.bins) != len(schedule.bins):
-            return False
-        rts = np.array(ref.transmissivities())
-        rth = np.array([t % 360.0 for t in ref.thetas()])
-        return bool(np.max(np.abs(rts - ts)) < 1e-9
-                    and np.max(np.abs((rth - thetas + 180.0) % 360.0 - 180.0)) < 1e-9)
-
-    n = schedule.num_outputs
-    candidates = [
-        ("epr", TargetState.epr()),
-        ("cluster2", TargetState.linear_cluster(2)),
-        ("ghz", TargetState.ghz(max(n, 2))),
-        ("cluster1d", TargetState.linear_cluster(max(n, 2))),
-        ("star", TargetState.star_cluster(max(n, 2))),
-        ("infinite", TargetState.infinite_cluster(max(n, 2))),
-    ]
-    for name, cand in candidates:
-        try:
-            if matches(cand):
-                return name, cand
-        except ValueError:
-            continue
+    """The first table target whose compiled (T, theta mod 360) bins match."""
+    n = max(schedule.num_outputs, 2)
+    bins = [(b.T, b.theta_deg % 360.0) for b in schedule.bins]
+    for name, build in _TARGETS.items():
+        target = build(n)
+        ref = compile_target(target).bins
+        if len(ref) == len(bins) and all(
+                abs(r.T - t) < 1e-9
+                and abs((r.theta_deg % 360.0 - th + 180.0) % 360.0 - 180.0) < 1e-9
+                for r, (t, th) in zip(ref, bins)):
+            return name, target
     raise ValueError(
         "schedule does not match any compiled target pattern; "
         "cannot infer which criteria to evaluate")
@@ -101,8 +76,10 @@ def _reproduction_line(argv: list[str]) -> str:
     return "loopsynth " + " ".join(argv)
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text)
+def _write_csv(path: str, argv: list[str], header: str, rows: list[str]) -> None:
+    lines = [f"# {_reproduction_line(argv)}", header, *rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +89,13 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_compile(args, argv) -> int:
     try:
-        target = _target_from_name(args.target, args.n)
+        target = _TARGETS[args.target](args.n)
         schedule = compile_target(target)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = args.output or f"{args.target}.json"
-    _write_text(out, serialize_schedule(schedule))
+    Path(out).write_text(serialize_schedule(schedule))
     report = hardware_check(schedule)
     print(f"# {_reproduction_line(argv)}")
     print(f"wrote {out}: {len(schedule.bins)} bins for {args.target}(n={target.n})")
@@ -201,12 +178,9 @@ def _cmd_verify(args, argv) -> int:
         elif args.realistic:
             noise = NoiseConfig(mode="realistic")
         if args.efficiency is not None:
-            noise = NoiseConfig(
-                loop_loss_per_trip=noise.loop_loss_per_trip,
-                phase_jitter_deg_per_trip=noise.phase_jitter_deg_per_trip,
-                detection_efficiency=args.efficiency, mode="realistic")
-        schedule = ControlSchedule(bins=schedule.bins, tau_ns=schedule.tau_ns,
-                                   noise=noise)
+            noise = replace(noise, detection_efficiency=args.efficiency,
+                            mode="realistic")
+        schedule = replace(schedule, noise=noise)
         name, target = _infer_target(schedule)
         source = SqueezerSpec(args.squeeze_db, args.antisqueeze_db)
         rows = _report_rows(schedule, source, nullifiers_for(target),
@@ -234,12 +208,10 @@ def _cmd_verify(args, argv) -> int:
         print(f"{r.label:<{width}}{r.analytic:>10.4f}{r.sampled:>10.4f}"
               f"{r.stderr:>9.4f}{r.threshold:>11.2f}  {'yes' if r.passed else 'NO'}")
 
-    csv_path = args.csv or (Path(args.schedule).stem + "_report.csv")
-    lines = [f"# {_reproduction_line(argv)}", "criterion,analytic,sampled,stderr,pass"]
-    lines += [f"{r.label},{r.analytic!r},{r.sampled!r},{r.stderr!r},"
-              f"{'true' if r.passed else 'false'}" for r in rows]
-    _write_text(csv_path, "\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
+    _write_csv(args.csv or (Path(args.schedule).stem + "_report.csv"), argv,
+               "criterion,analytic,sampled,stderr,pass",
+               [f"{r.label},{r.analytic!r},{r.sampled!r},{r.stderr!r},"
+                f"{'true' if r.passed else 'false'}" for r in rows])
     return 0
 
 
@@ -275,11 +247,10 @@ def _cmd_memory(args, argv) -> int:
     print(f"{'n':>3}{'delay_ns':>10}{'inseparability':>16}{'stderr':>9}")
     for n, delay, value, stderr in rows:
         print(f"{n:>3}{delay:>10.1f}{value:>16.4f}{stderr:>9.4f}")
-    csv_path = args.csv or "memory_sweep.csv"
-    lines = [f"# {_reproduction_line(argv)}", "n,delay_ns,inseparability,stderr"]
-    lines += [f"{n},{delay!r},{value!r},{stderr!r}" for n, delay, value, stderr in rows]
-    _write_text(csv_path, "\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
+    _write_csv(args.csv or "memory_sweep.csv", argv,
+               "n,delay_ns,inseparability,stderr",
+               [f"{n},{delay!r},{value!r},{stderr!r}"
+                for n, delay, value, stderr in rows])
     return 0
 
 
@@ -309,7 +280,7 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("compile", help="compile a target state to a schedule file",
                        parents=[], add_help=True)
-    c.add_argument("target", choices=_TARGET_CHOICES)
+    c.add_argument("target", choices=tuple(_TARGETS))
     c.add_argument("--n", type=int, default=3,
                    help="mode count (cluster length for 'infinite')")
     c.add_argument("-o", "--output", default=None, help="schedule file path")
@@ -344,7 +315,7 @@ def _build_parser() -> _Parser:
     m.add_argument("--csv", default=None, help="sweep CSV path")
 
     s = sub.add_parser("selfcheck", help="run the built-in consistency suite")
-    s.add_argument("--inject-fault", choices=("bs-sign",), default=None,
+    s.add_argument("--inject-fault", choices=FAULTS, default=None,
                    help=argparse.SUPPRESS)
     return parser
 

@@ -76,8 +76,9 @@ def fibonacci(k: int) -> int:
 
 
 def _flip_corrected(thetas, ts) -> list[float]:
-    # A bin with T < 1/2: fold the post-splitter 180 into its theta.
-    return [(th + 180.0) % 360.0 if t < 0.5 - 1e-12 else th
+    # A bin with T < 1/2, where bin_coupling takes the flipped branch: fold
+    # the post-splitter 180 into its theta.
+    return [(th + 180.0) % 360.0 if t < 0.5 else th
             for th, t in zip(thetas, ts)]
 
 

@@ -55,6 +55,7 @@ from .schedule import ControlSchedule, NoiseConfig
 
 MAX_UNROLLED_BINS = 24
 
+FAULTS = ("bs-sign",)
 _ACTIVE_FAULTS: set[str] = set()
 
 _LOOP_UNITS = np.eye(2, 4)  # x and p of slot 0, stacked as two means
@@ -63,7 +64,13 @@ _NO_MOMENTS = np.zeros((2, 2))  # builds a map without the dephasing noise
 
 @contextmanager
 def inject_fault(name: str):
-    """Deliberately corrupt an engine convention (self-test hook)."""
+    """Deliberately corrupt an engine convention (self-test hook).
+
+    An unknown name raises ValueError, so a misspelt fault cannot pass a
+    fault test by corrupting nothing.
+    """
+    if name not in FAULTS:
+        raise ValueError(f"unknown fault {name!r}; known faults: {FAULTS}")
     _ACTIVE_FAULTS.add(name)
     try:
         yield

@@ -203,8 +203,11 @@ def squeezed_vacuum(spec: SqueezerSpec) -> GaussianState:
 # raw-array channel updates, shared by the public ops and the loop engine
 #
 # Each update acts in place on a covariance matrix and on a mean indexed as
-# mean[..., q]: either one 2N vector or a (shots, 2N) stack of per-shot
-# conditional means, which all share the one covariance.  The one exception
+# mean[..., q]: either one 2N vector or a stack of 2N-vector rows, which all
+# share the one covariance.  The stacks in use are the engine's bin-map
+# builder's two unit rows (the loop mode's x and p) and the sampler's two
+# transfer rows; the sampler's per-shot means themselves move by one
+# composed 3x3 step per bin, not through these updates.  The one exception
 # is the dephasing's default second moment S = B + mu mu^T, which needs a
 # single mean vector; a stack must come with its ``moments``.
 # ---------------------------------------------------------------------------

@@ -98,13 +98,20 @@ def mode_function(config: WaveformConfig, k: int,
     return f / norm
 
 
+def _mode_functions(config: WaveformConfig, num_modes: int,
+                    num_samples: int) -> np.ndarray:
+    """Mode functions 1..num_modes on a num_samples grid, one per row."""
+    return np.stack([mode_function(config, k, num_samples)
+                     for k in range(1, num_modes + 1)])
+
+
 def orthogonality_matrix(config: WaveformConfig, k_max: int) -> np.ndarray:
     """Gram matrix of the discretized mode functions for modes 1..k_max."""
     if k_max < 2:
         raise ValueError("need k_max >= 2")
     n = config.frame_length(k_max)
     dt_s = config.dt_ns * 1e-9
-    funcs = np.stack([mode_function(config, k, n) for k in range(1, k_max + 1)])
+    funcs = _mode_functions(config, k_max, n)
     return funcs @ funcs.T * dt_s
 
 
@@ -137,7 +144,7 @@ def synthesize_frames(quadratures: SampleSet, config: WaveformConfig,
     shots, num_modes = quadratures.values.shape
     n = config.frame_length(num_modes)
     dt_s = config.dt_ns * 1e-9
-    funcs = np.stack([mode_function(config, k, n) for k in range(1, num_modes + 1)])
+    funcs = _mode_functions(config, num_modes, n)
     frames = []
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(VACUUM_VARIANCE / dt_s)
@@ -156,12 +163,20 @@ def extract_quadratures(frames: list[TraceFrame], config: WaveformConfig,
                         plan: MeasurementPlan | None = None) -> SampleSet:
     """Project each frame onto the mode functions: q_k = sum f_k s dt.
 
-    num_modes defaults to every mode whose window fits inside the frames;
-    the optional plan labels the returned samples with their bases.
+    Every frame must be sampled at the config's spacing; its first sample
+    is the grid's origin.  num_modes defaults to every mode whose window
+    fits inside the frames; the optional plan labels the returned samples
+    with their bases.
     """
     if not frames:
         raise ValueError("no frames")
-    n = min(frame.samples.size for frame in frames)
+    n = math.inf
+    for i, frame in enumerate(frames):
+        if abs(frame.dt_ns - config.dt_ns) > 1e-9 * config.dt_ns:
+            raise ValueError(
+                f"frame {i}: sample spacing {frame.dt_ns!r} ns is not the "
+                f"config's {config.dt_ns!r} ns")
+        n = min(n, frame.samples.size)
     dt_s = config.dt_ns * 1e-9
     if num_modes is None:
         num_modes = 0
@@ -173,7 +188,7 @@ def extract_quadratures(frames: list[TraceFrame], config: WaveformConfig,
         raise ValueError(
             f"frames too short for mode {num_modes}: need "
             f"{config.frame_length(num_modes)} samples, got {n}")
-    funcs = np.stack([mode_function(config, k, n) for k in range(1, num_modes + 1)])
+    funcs = _mode_functions(config, num_modes, n)
     values = np.stack([funcs @ frame.samples[:n] * dt_s for frame in frames])
     if plan is None:
         plan = MeasurementPlan((0.0,) * num_modes, shots=len(frames))
@@ -190,6 +205,7 @@ def frame_to_text(frame: TraceFrame) -> str:
 
 
 def frame_from_text(text: str) -> TraceFrame:
+    """Parse frame_to_text's columns; times must be finite and evenly spaced."""
     times, values = [], []
     for i, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -203,6 +219,13 @@ def frame_from_text(text: str) -> TraceFrame:
             values.append(float(parts[1]))
         except ValueError as exc:
             raise ValueError(f"line {i}: {exc}") from exc
+        if not math.isfinite(times[-1]):
+            raise ValueError(f"line {i}: time must be finite, got {times[-1]!r}")
+        if len(times) > 2:
+            dt, step = times[1] - times[0], times[-1] - times[-2]
+            if abs(step - dt) > 1e-6 * abs(dt):
+                raise ValueError(f"line {i}: time step {step!r} ns differs "
+                                 f"from the first step {dt!r} ns")
     if len(times) < 2:
         raise ValueError("need at least two samples")
     return TraceFrame(np.array(values), times[0], times[1] - times[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -8,7 +9,8 @@ from loopsynth.cli import main
 from loopsynth.compiler import TargetState, compile_target
 from loopsynth.engine import run_unrolled
 from loopsynth.gaussian import SqueezerSpec
-from loopsynth.schedule import NoiseConfig, parse_schedule
+from loopsynth.schedule import (ControlSchedule, NoiseConfig, parse_schedule,
+                                serialize_schedule)
 from loopsynth.verifier import criterion_parts, nullifiers_for, variance_analytic
 
 
@@ -122,6 +124,50 @@ def test_verify_ghz_beyond_dense_reference_limit(tmp_path):
     assert len(parse_schedule(sched.read_text()).bins) == 26
     assert main(["verify", str(sched), "--shots", "500", "--csv", str(csv)]) == 0
     assert len(read_csv_rows(csv)) == 300  # one row per pair of the 25 modes
+
+
+# at n = 2 some schedules fit more than one name; the first in order wins
+N2_ALIASES = {"ghz": "epr", "star": "cluster2", "cluster1d": "cluster2"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize(
+    "name", ["epr", "cluster2", "ghz", "cluster1d", "star", "infinite"])
+def test_verify_recognises_each_compiled_target(tmp_path, capsys, name, n):
+    sched = tmp_path / "s.json"
+    assert main(["compile", name, "--n", str(n), "-o", str(sched)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(sched), "--ideal", "--shots", "200",
+                 "--csv", str(tmp_path / "s.csv")]) == 0
+    if name in ("epr", "cluster2"):
+        expected = f"{name}(n=2)"
+    elif n == 2:
+        expected = f"{N2_ALIASES.get(name, name)}(n=2)"
+    else:
+        expected = f"{name}(n={n})"
+    assert f"target: {expected}" in capsys.readouterr().out.splitlines()
+
+
+def write_linear5(path, dt, turns):
+    """Compiled linear_cluster(5), interior T moved by dt, theta by 360 k."""
+    bins = compile_target(TargetState.linear_cluster(5)).bins
+    moved = [dataclasses.replace(
+        b, T=b.T + dt if 0 < k < len(bins) - 1 else b.T,
+        theta_deg=b.theta_deg + 360.0 * turns[k]) for k, b in enumerate(bins)]
+    path.write_text(serialize_schedule(ControlSchedule(bins=tuple(moved))))
+
+
+def test_verify_recognition_tolerance(tmp_path, capsys):
+    sched = tmp_path / "s.json"
+    csv = str(tmp_path / "s.csv")
+    write_linear5(sched, 5e-10, [0, 1, -2, 3, -4, 5])
+    assert main(["verify", str(sched), "--ideal", "--shots", "200",
+                 "--csv", csv]) == 0
+    assert "target: cluster1d(n=5)" in capsys.readouterr().out.splitlines()
+    write_linear5(sched, 1e-8, [0] * 6)
+    assert main(["verify", str(sched), "--ideal", "--shots", "200",
+                 "--csv", csv]) == 1
+    assert "does not match any compiled target" in capsys.readouterr().err
 
 
 def test_verify_vacuum_source_fails_criteria(tmp_path):

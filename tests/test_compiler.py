@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -6,9 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth.compiler import (GOLDEN_RATIO_T, TargetState, compile_storage,
-                                compile_target, delta_for_transmissivity,
-                                fibonacci, hardware_check)
+from loopsynth.compiler import (GOLDEN_RATIO_T, TargetState, _flip_corrected,
+                                compile_storage, compile_target,
+                                delta_for_transmissivity, fibonacci,
+                                hardware_check)
+from loopsynth.engine import bin_coupling
+from loopsynth.gaussian import beamsplitter_matrix
+from loopsynth.schedule import serialize_schedule
 
 
 def fib_closed_form(k):
@@ -156,6 +161,31 @@ def test_delta_map_branches():
     assert delta_for_transmissivity(1.0 / 3.0) == pytest.approx(
         ghz3_required_delta(), abs=1e-9)
     assert delta_for_transmissivity(0.0) == pytest.approx(135.0, abs=1e-12)
+
+
+def test_compiler_folds_exactly_where_the_engine_flips_branch():
+    # one branch rule, T < 1/2, for the fold, the coupling and the delta map
+    ts = [0.0, 1e-13, 0.25, 0.5 - 1e-12, 0.5 - 1e-13, math.nextafter(0.5, 0.0),
+          0.5, math.nextafter(0.5, 1.0), 0.5 + 1e-13, 0.75, 1.0]
+    folded = [th == 180.0 for th in _flip_corrected([0.0] * len(ts), ts)]
+    flipped = [not np.array_equal(bin_coupling(t), beamsplitter_matrix(t))
+               for t in ts]
+    flipped_delta = [delta_for_transmissivity(t) > 45.0 for t in ts]
+    assert folded == flipped == flipped_delta == [t < 0.5 for t in ts]
+
+
+def test_compiled_schedules_are_pinned():
+    # SHA-256 of these schedules as compiled when the fold still had a
+    # 1e-12 slack below T = 1/2: no compiled T falls in that gap
+    digest = hashlib.sha256()
+    for kind in ("ghz", "star", "linear", "infinite"):
+        for n in range(2, 51):
+            digest.update(serialize_schedule(
+                compile_target(TargetState(kind, n))).encode())
+    digest.update(serialize_schedule(compile_target(TargetState.epr())).encode())
+    digest.update(serialize_schedule(compile_storage(range(50))).encode())
+    assert digest.hexdigest() == \
+        "3714c41a32aef19431e29d76f7040316c379494d6fdce1c5607f4f97983fa980"
 
 
 def test_ghz3_feasible_with_expected_levels():

@@ -303,6 +303,14 @@ def test_fault_injection_breaks_sampler_agreement():
     assert np.max(np.abs(fixed.values - oracle)) < 1e-12
 
 
+def test_unknown_fault_name_is_refused():
+    # a misspelt fault would otherwise corrupt nothing and let selfcheck pass
+    with pytest.raises(ValueError, match=r"unknown fault 'bs_sign'.*\('bs-sign',\)"):
+        with inject_fault("bs_sign"):
+            pass
+    assert not engine._ACTIVE_FAULTS
+
+
 # ---------------------------------------------------------------------------
 # fused bin maps
 # ---------------------------------------------------------------------------

@@ -422,7 +422,8 @@ def test_conditioning_rejects_singular_variance():
 
 
 def test_raw_updates_act_row_by_row_on_stacked_means():
-    # the sampler keeps one mean row per shot under one shared covariance
+    # stacked mean rows share one covariance, like the engine's bin-map unit
+    # rows and the sampler's transfer rows
     base = random_state(21)
     rng = np.random.default_rng(22)
     means = rng.normal(size=(4, 6))

@@ -158,3 +158,52 @@ def test_frame_text_round_trip():
 def test_frame_text_rejects_garbage():
     with pytest.raises(ValueError, match="line 2"):
         frame_from_text("0.0 1.0\n0.8 oops\n")
+
+
+def test_extraction_refuses_frames_off_the_config_spacing():
+    # 0.8 ns frames read on a 1.6 ns grid would come back silently wrong
+    plan = MeasurementPlan((0.0, 0.0), shots=3)
+    quads = SampleSet(plan, np.ones((3, 2)))
+    frames = synthesize_frames(quads, WaveformConfig(), noise=False)
+    with pytest.raises(ValueError, match=r"frame 0: sample spacing 0\.8 ns"):
+        extract_quadratures(frames, WaveformConfig(sample_rate_hz=0.625e9))
+    odd = TraceFrame(frames[2].samples, 0.0, 0.8 * (1 + 1e-8))
+    with pytest.raises(ValueError, match="frame 2: sample spacing"):
+        extract_quadratures(frames[:2] + [odd], WaveformConfig())
+
+
+def test_extraction_accepts_round_off_in_the_spacing():
+    config = WaveformConfig()
+    plan = MeasurementPlan((0.0, 0.0), shots=2)
+    quads = SampleSet(plan, np.array([[1.0, -2.0], [0.5, 3.0]]))
+    frames = synthesize_frames(quads, config, noise=False)
+    near = [TraceFrame(f.samples, 0.0, config.dt_ns * (1 + 1e-12)) for f in frames]
+    back = extract_quadratures(near, config, num_modes=2, plan=plan)
+    assert np.array_equal(back.values,
+                          extract_quadratures(frames, config, 2, plan).values)
+
+
+def test_frames_read_from_text_extract_like_the_originals():
+    # the grid's origin is each frame's first sample, wherever it starts
+    config = WaveformConfig()
+    plan = MeasurementPlan((0.0,) * 3, shots=4)
+    quads = SampleSet(plan, np.random.default_rng(5).normal(size=(4, 3)))
+    frames = synthesize_frames(quads, config, seed=6)
+    shifted = [frame_from_text(frame_to_text(TraceFrame(f.samples, 10.0, f.dt_ns)))
+               for f in frames]
+    assert all(f.start_ns == 10.0 for f in shifted)
+    back = extract_quadratures(shifted, config, num_modes=3, plan=plan)
+    assert np.array_equal(back.values,
+                          extract_quadratures(frames, config, 3, plan).values)
+
+
+def test_frame_text_rejects_uneven_time_steps():
+    with pytest.raises(ValueError, match=r"line 3: time step 4\.2 ns differs"):
+        frame_from_text("0.0 1.0\n0.8 2.0\n5.0 3.0\n5.8 4.0\n")
+    # the line number counts comments and blank lines too
+    with pytest.raises(ValueError, match="line 5: time step"):
+        frame_from_text("# t s\n0.0 1.0\n0.8 2.0\n\n1.7 3.0\n")
+    with pytest.raises(ValueError, match="line 2: time must be finite"):
+        frame_from_text("0.0 1.0\nnan 2.0\nnan 3.0\n")
+    frame = frame_from_text("0.0 1.0\n0.8 2.0\n1.6 3.0\n2.4000001 4.0\n")
+    assert frame.dt_ns == 0.8
