@@ -89,11 +89,14 @@ def _write_csv(path: str, argv: list[str], header: str, rows: list[str]) -> None
 
 def _cmd_compile(args, argv) -> int:
     try:
-        target = _TARGETS[args.target](args.n)
+        target = _TARGETS[args.target](3 if args.n is None else args.n)
         schedule = compile_target(target)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.n not in (None, target.n):
+        print(f"warning: {args.target} always has {target.n} modes; "
+              f"--n {args.n} is ignored", file=sys.stderr)
     out = args.output or f"{args.target}.json"
     Path(out).write_text(serialize_schedule(schedule))
     report = hardware_check(schedule)
@@ -281,8 +284,8 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("compile", help="compile a target state to a schedule file",
                        parents=[], add_help=True)
     c.add_argument("target", choices=tuple(_TARGETS))
-    c.add_argument("--n", type=int, default=3,
-                   help="mode count (cluster length for 'infinite')")
+    c.add_argument("--n", type=int, default=None,
+                   help="mode count, default 3 (cluster length for 'infinite')")
     c.add_argument("-o", "--output", default=None, help="schedule file path")
     c.add_argument("--strict-hardware", action="store_true",
                    help="exit 2 when the schedule is not hardware-realizable")

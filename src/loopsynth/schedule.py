@@ -46,7 +46,8 @@ class BinSetting:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
+            raise ValueError(
+                f"source must be one of {SOURCES}, got {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,8 @@ class NoiseConfig:
 
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
-            raise ValueError(f"unknown noise mode {self.mode!r}")
+            raise ValueError(
+                f"mode must be one of {NOISE_MODES}, got {self.mode!r}")
         if self.mode == "ideal":
             object.__setattr__(self, "loop_loss_per_trip", 0.0)
             object.__setattr__(self, "phase_jitter_deg_per_trip", 0.0)
@@ -84,7 +86,8 @@ class ControlSchedule:
     def __post_init__(self):
         object.__setattr__(self, "bins", tuple(self.bins))
         if len(self.bins) < 2:
-            raise ValueError("schedule needs at least 2 bins")
+            raise ValueError(
+                f"bins must list at least 2 bins, got {len(self.bins)}")
         if not 0.0 < self.tau_ns < math.inf:
             raise ValueError(
                 f"tau_ns must be finite and positive, got {self.tau_ns!r}")
@@ -105,9 +108,13 @@ class ControlSchedule:
 # file format
 # ---------------------------------------------------------------------------
 
+_TOP_KEYS = ("tau_ns", "noise", "bins")
 _NOISE_KEYS = ("loop_loss_per_trip", "phase_jitter_deg_per_trip",
                "detection_efficiency", "mode")
 _BIN_KEYS = ("T", "theta_deg", "phi_deg", "source")
+_TEXT_KEYS = ("source", "mode")  # every other field is a number
+_KEYS = {ControlSchedule: _TOP_KEYS, NoiseConfig: _NOISE_KEYS,
+         BinSetting: _BIN_KEYS}
 
 
 def _require_number(value, where: str) -> float:
@@ -120,10 +127,32 @@ def _require_number(value, where: str) -> float:
     return value
 
 
-def _reject_unknown(obj: dict, allowed, where: str) -> None:
+def _check_shape(obj, where: str, keys, required=()) -> None:
+    if not isinstance(obj, dict):
+        raise ScheduleFormatError(f"{where}: expected an object")
     for key in obj:
-        if key not in allowed:
+        if key not in keys:
             raise ScheduleFormatError(f"{where}: unknown field {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ScheduleFormatError(f"{where}: missing required field {key!r}")
+
+
+def _build(cls, obj, where: str, required=()):
+    """cls(**obj) for one JSON object; every refusal starts with where.
+
+    Only the object's shape and the finiteness of its numbers are checked
+    here; the constructor checks the values.
+    """
+    _check_shape(obj, where, _KEYS[cls], required)
+    kwargs = {}
+    for key, value in obj.items():
+        kwargs[key] = value if key in _TEXT_KEYS \
+            else _require_number(value, f"{where}.{key}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScheduleFormatError(f"{where}: {exc}") from exc
 
 
 def parse_schedule(text: str) -> ControlSchedule:
@@ -135,76 +164,32 @@ def parse_schedule(text: str) -> ControlSchedule:
     except json.JSONDecodeError as exc:
         raise ScheduleFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ScheduleFormatError("top level: expected an object")
-    _reject_unknown(doc, ("tau_ns", "noise", "bins"), "top level")
-    if "bins" not in doc:
-        raise ScheduleFormatError("top level: missing required field 'bins'")
+    _check_shape(doc, "top level", _TOP_KEYS, required=("bins",))
     if not isinstance(doc["bins"], list):
         raise ScheduleFormatError("bins: expected an array")
-
     tau_ns = _require_number(doc.get("tau_ns", DEFAULT_TAU_NS), "tau_ns")
-
-    noise_doc = doc.get("noise", {})
-    if not isinstance(noise_doc, dict):
-        raise ScheduleFormatError("noise: expected an object")
-    _reject_unknown(noise_doc, _NOISE_KEYS, "noise")
-    noise_kwargs = {}
-    for key in _NOISE_KEYS[:3]:
-        if key in noise_doc:
-            noise_kwargs[key] = _require_number(noise_doc[key], f"noise.{key}")
-    if "mode" in noise_doc:
-        if noise_doc["mode"] not in NOISE_MODES:
-            raise ScheduleFormatError(
-                f"noise.mode: expected one of {NOISE_MODES}, got {noise_doc['mode']!r}")
-        noise_kwargs["mode"] = noise_doc["mode"]
-    try:
-        noise = NoiseConfig(**noise_kwargs)
-    except ValueError as exc:
-        raise ScheduleFormatError(f"noise: {exc}") from exc
-
-    bins = []
-    for i, entry in enumerate(doc["bins"]):
-        where = f"bins[{i}]"
-        if not isinstance(entry, dict):
-            raise ScheduleFormatError(f"{where}: expected an object")
-        _reject_unknown(entry, _BIN_KEYS, where)
-        if "T" not in entry:
-            raise ScheduleFormatError(f"{where}: missing required field 'T'")
-        kwargs = {"T": _require_number(entry["T"], f"{where}.T")}
-        for key in ("theta_deg", "phi_deg"):
-            if key in entry:
-                kwargs[key] = _require_number(entry[key], f"{where}.{key}")
-        if "source" in entry:
-            if entry["source"] not in SOURCES:
-                raise ScheduleFormatError(
-                    f"{where}.source: expected one of {SOURCES}, got {entry['source']!r}")
-            kwargs["source"] = entry["source"]
-        try:
-            bins.append(BinSetting(**kwargs))
-        except ValueError as exc:
-            raise ScheduleFormatError(f"{where}: {exc}") from exc
-
+    noise = _build(NoiseConfig, doc.get("noise", {}), "noise")
+    bins = [_build(BinSetting, entry, f"bins[{i}]", ("T",))
+            for i, entry in enumerate(doc["bins"])]
     try:
         return ControlSchedule(bins=tuple(bins), tau_ns=tau_ns, noise=noise)
-    except ValueError as exc:
+    except ValueError as exc:  # its refusals start with the field's name
         raise ScheduleFormatError(str(exc)) from exc
+
+
+def _encode(part) -> dict:
+    """One schedule part as its JSON object, keys in table order."""
+    doc = {}
+    for key in _KEYS[type(part)]:
+        value = getattr(part, key)
+        if type(value) in _KEYS:
+            value = _encode(value)
+        elif isinstance(value, tuple):
+            value = [_encode(item) for item in value]
+        doc[key] = value
+    return doc
 
 
 def serialize_schedule(schedule: ControlSchedule) -> str:
     """Render a schedule so that parse(serialize(s)) == s exactly."""
-    doc = {
-        "tau_ns": schedule.tau_ns,
-        "noise": {
-            "loop_loss_per_trip": schedule.noise.loop_loss_per_trip,
-            "phase_jitter_deg_per_trip": schedule.noise.phase_jitter_deg_per_trip,
-            "detection_efficiency": schedule.noise.detection_efficiency,
-            "mode": schedule.noise.mode,
-        },
-        "bins": [
-            {"T": b.T, "theta_deg": b.theta_deg, "phi_deg": b.phi_deg,
-             "source": b.source}
-            for b in schedule.bins
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_encode(schedule), indent=2) + "\n"

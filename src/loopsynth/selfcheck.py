@@ -8,6 +8,7 @@ to the final local phase, and the waveform synthesize/extract round trip.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,13 +96,9 @@ def _check_waveform_roundtrip() -> CheckResult:
 
 def run_selfcheck(fault: str | None = None) -> list[CheckResult]:
     """Run every consistency check, optionally with an injected fault."""
-    checks = []
-    if fault is not None:
-        with engine.inject_fault(fault):
-            checks.append(_check_loop_vs_chain())
-    else:
-        checks.append(_check_loop_vs_chain())
-    checks.append(_check_linear_cluster_oracle())
-    checks.append(_check_ghz_star_equivalence())
-    checks.append(_check_waveform_roundtrip())
-    return checks
+    injected = contextlib.nullcontext() if fault is None \
+        else engine.inject_fault(fault)
+    with injected:
+        loop_vs_chain = _check_loop_vs_chain()
+    return [loop_vs_chain, _check_linear_cluster_oracle(),
+            _check_ghz_star_equivalence(), _check_waveform_roundtrip()]

@@ -400,6 +400,8 @@ CALIBRATION_TARGETS: tuple[tuple[str, TargetState, int, float], ...] = (
     ("star3", TargetState.star_cluster(3), 1, 0.65),
     ("star3", TargetState.star_cluster(3), 2, 0.63),
 )
+CALIBRATION_SOURCE = SqueezerSpec()
+CALIBRATION_NOISE = NoiseConfig(mode="realistic")
 
 
 @dataclass(frozen=True)
@@ -423,38 +425,33 @@ class CalibrationResult:
         return max(abs(r.residual) for r in self.rows)
 
 
-def calibrate_efficiency(source: SqueezerSpec | None = None,
-                         noise: NoiseConfig | None = None,
-                         targets=CALIBRATION_TARGETS) -> CalibrationResult:
-    """Fit one detection efficiency to the measured reference values.
+def calibrate_efficiency() -> CalibrationResult:
+    """Fit one detection efficiency to CALIBRATION_TARGETS' measured values.
 
     Base values are streamed by ``stream_nullifier_variances``, one run per
-    target, with the given loop noise (realistic defaults) and unit
-    detection efficiency; an exiting-mode loss channel of
+    target, from CALIBRATION_SOURCE with CALIBRATION_NOISE's loop noise and
+    unit detection efficiency; an exiting-mode loss channel of
     transmittance eta then maps any criterion value v to
     eta*v + (1-eta)*vacuum, so the least-squares fit is closed form.
     Also reports the efficiency the EPR row alone implies against the
     noise-free value (a one-dimensional root find).
     """
-    source = source or SqueezerSpec()
-    noise = noise or NoiseConfig(mode="realistic")
-
     base: dict[str, list[tuple[str, float, float]]] = {}
-    ideal_epr = None
-    for name, target, _, _ in targets:
+    for name, target, _, _ in CALIBRATION_TARGETS:
         if name in base:
             continue
         criteria = nullifiers_for(target)
         values = stream_nullifier_variances(
-            compile_target(target, noise=noise), source, criteria)
+            compile_target(target, noise=CALIBRATION_NOISE), CALIBRATION_SOURCE,
+            criteria)
         base[name] = [(crit.label, value, crit.vacuum_variance())
                       for crit, value in zip(criteria, values)]
         if name == "epr":
             ideal_epr, = stream_nullifier_variances(
-                compile_target(target), source, criteria)
+                compile_target(target), CALIBRATION_SOURCE, criteria)
 
     rows_raw = []
-    for name, _, row_index, measured in targets:
+    for name, _, row_index, measured in CALIBRATION_TARGETS:
         label, value, vac = base[name][row_index]
         rows_raw.append((name, label, measured, value, vac))
 
@@ -464,11 +461,8 @@ def calibrate_efficiency(source: SqueezerSpec | None = None,
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"fitted efficiency {eta:.4f} is not bracketed in (0, 1]")
 
-    eta_epr = float("nan")
-    if ideal_epr is not None:
-        epr_measured = next(m for nm, _, m, _, _ in rows_raw if nm == "epr")
-        epr_vac = next(v for nm, _, _, _, v in rows_raw if nm == "epr")
-        eta_epr = (epr_vac - epr_measured) / (epr_vac - ideal_epr)
+    _, _, epr_measured, _, epr_vac = next(r for r in rows_raw if r[0] == "epr")
+    eta_epr = (epr_vac - epr_measured) / (epr_vac - ideal_epr)
 
     rows = tuple(
         CalibrationRow(

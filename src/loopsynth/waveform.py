@@ -74,6 +74,11 @@ class TraceFrame:
             raise ValueError("samples must be a finite 1-D array")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        if not math.isfinite(self.start_ns):
+            raise ValueError(f"start_ns must be finite, got {self.start_ns!r}")
+        if not 0.0 < self.dt_ns < math.inf:
+            raise ValueError(
+                f"dt_ns must be finite and positive, got {self.dt_ns!r}")
 
 
 def mode_function(config: WaveformConfig, k: int,

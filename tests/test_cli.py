@@ -44,6 +44,30 @@ def test_compile_large_linear_cluster(tmp_path):
     assert len(sched.bins) == 1009
 
 
+@pytest.mark.parametrize("name", ["epr", "cluster2"])
+def test_compile_warns_when_a_fixed_size_target_ignores_n(tmp_path, capsys, name):
+    out = tmp_path / "s.json"
+    assert main(["compile", name, "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["compile", name, "--n", "2", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["compile", name, "--n", "7", "-o", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"warning: {name} always has 2 modes; --n 7 is ignored\n"
+    assert f"3 bins for {name}(n=2)" in captured.out
+
+
+def test_verify_names_the_bad_field_of_a_schedule(tmp_path, capsys):
+    sched, csv = tmp_path / "bad.json", tmp_path / "bad.csv"
+    sched.write_text(json.dumps(
+        {"bins": [{"T": 1.0}, {"T": 0.5, "source": "laser"}]}))
+    assert main(["verify", str(sched), "--csv", str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sched}: bins[1]: source must be one of")
+    assert not csv.exists()
+
+
 def test_compile_rejects_unknown_target(capsys):
     with pytest.raises(SystemExit) as err:
         main(["compile", "bell"])

@@ -3,7 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth.schedule import (BinSetting, ControlSchedule, NoiseConfig,
+from loopsynth.schedule import (_BIN_KEYS, _NOISE_KEYS, _TOP_KEYS, BinSetting,
+                                ControlSchedule, NoiseConfig,
                                 ScheduleFormatError, parse_schedule,
                                 serialize_schedule)
 
@@ -125,3 +126,50 @@ def test_schedule_rejects_non_finite_or_non_positive_tau(tau_ns):
     bins = (BinSetting(T=1.0), BinSetting(T=1.0))
     with pytest.raises(ValueError, match="tau_ns must be finite and positive"):
         ControlSchedule(bins=bins, tau_ns=tau_ns)
+
+
+def two_bin_doc(**noise):
+    return {"noise": noise, "bins": [{"T": 1.0}, {"T": 0.5}]}
+
+
+def with_bin(doc, **fields):
+    doc["bins"][1].update(fields)
+    return doc
+
+
+# each rule of the types, reached through the file: path first, then the field
+@pytest.mark.parametrize("doc, message", [
+    (with_bin(two_bin_doc(), source="laser"),
+     r"^bins\[1\]: source must be one of \('squeezer', 'vacuum', 'blocked'\), "
+     r"got 'laser'$"),
+    (two_bin_doc(mode="noisy"),
+     r"^noise: mode must be one of \('ideal', 'realistic'\), got 'noisy'$"),
+    (with_bin(two_bin_doc(), T=1.2), r"^bins\[1\]: transmissivity 1\.2 outside"),
+    (two_bin_doc(mode="realistic", loop_loss_per_trip=1.5),
+     r"^noise: loop loss per trip must be in \[0, 1\]"),
+    (two_bin_doc(mode="realistic", detection_efficiency=0.0),
+     r"^noise: detection efficiency must be in \(0, 1\]"),
+    (two_bin_doc(mode="realistic", phase_jitter_deg_per_trip=-1.0),
+     r"^noise: phase jitter must be finite and >= 0"),
+    ({**two_bin_doc(), "tau_ns": 0.0},
+     r"^tau_ns must be finite and positive, got 0\.0$"),
+    ({"bins": [{"T": 1.0}]}, r"^bins must list at least 2 bins, got 1$"),
+    ({"bins": [{"T": 1.0}, {"theta_deg": 0.0}]},
+     r"^bins\[1\]: missing required field 'T'$"),
+    ({"bins": [{"T": 1.0}, [0.5]]}, r"^bins\[1\]: expected an object$"),
+    ({"noise": "ideal", "bins": [{"T": 1.0}, {"T": 1.0}]},
+     r"^noise: expected an object$"),
+], ids=["source", "mode", "T", "loss", "efficiency", "jitter", "tau", "one-bin",
+        "missing-T", "bin-not-object", "noise-not-object"])
+def test_type_rules_refuse_with_path_and_field(doc, message):
+    with pytest.raises(ScheduleFormatError, match=message):
+        parse_schedule(json.dumps(doc))
+
+
+def test_serialize_emits_keys_in_table_order():
+    sched = make_schedule([1.0, 0.5, 0.0],
+                          noise=NoiseConfig(mode="realistic"))
+    doc = json.loads(serialize_schedule(sched))
+    assert tuple(doc) == _TOP_KEYS
+    assert tuple(doc["noise"]) == _NOISE_KEYS
+    assert all(tuple(entry) == _BIN_KEYS for entry in doc["bins"])

@@ -207,3 +207,20 @@ def test_frame_text_rejects_uneven_time_steps():
         frame_from_text("0.0 1.0\nnan 2.0\nnan 3.0\n")
     frame = frame_from_text("0.0 1.0\n0.8 2.0\n1.6 3.0\n2.4000001 4.0\n")
     assert frame.dt_ns == 0.8
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TraceFrame(np.ones(3), float("nan"), 0.8), "start_ns must be finite"),
+    (lambda: TraceFrame(np.ones(3), float("-inf"), 0.8), "start_ns must be finite"),
+    (lambda: TraceFrame(np.ones(3), 0.0, float("nan")), "dt_ns must be finite"),
+    (lambda: TraceFrame(np.ones(3), 0.0, float("inf")), "dt_ns must be finite"),
+    (lambda: TraceFrame(np.ones(3), 0.0, 0.0), "dt_ns must be finite and positive"),
+    (lambda: TraceFrame(np.ones(3), 0.0, -0.8), "dt_ns must be finite and positive"),
+    (lambda: frame_from_text("0.8 1\n0.0 2\n-0.8 3\n"),
+     r"dt_ns must be finite and positive, got -0\.8"),
+    (lambda: frame_from_text("0.0 1\n0.0 2\n"), "dt_ns must be finite and positive"),
+], ids=["start-nan", "start-neginf", "dt-nan", "dt-inf", "dt-zero", "dt-negative",
+        "text-decreasing", "text-repeated"])
+def test_trace_frame_refuses_bad_timing(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
