@@ -21,8 +21,8 @@ from .schedule import (BinSetting, ControlSchedule, NoiseConfig,
 from .verifier import (CalibrationResult, Estimate, InseparabilitySpec,
                        NullifierSpec, calibrate_efficiency, cluster_nullifier,
                        estimate, linear_cluster_oracle_cov, nullifiers_for,
-                       plan_measurements, stream_nullifier_variances,
-                       variance_analytic)
+                       plan_measurements, stream_nullifier_estimates,
+                       stream_nullifier_variances, variance_analytic)
 from .waveform import (TraceFrame, WaveformConfig, extract_quadratures,
                        frame_from_text, frame_to_text, mode_function,
                        orthogonality_matrix, shot_noise_frames,
@@ -43,6 +43,7 @@ __all__ = [
     "orthogonality_matrix", "parse_schedule", "plan_measurements",
     "run_loop", "run_loop_sampled", "run_unrolled", "sample_quadratures",
     "serialize_schedule", "shot_noise_frames", "squeezed_vacuum",
-    "stream_nullifier_variances", "synthesize_frames", "tensor", "vacuum",
+    "stream_nullifier_estimates", "stream_nullifier_variances",
+    "synthesize_frames", "tensor", "vacuum",
     "variance_analytic",
 ]

@@ -9,7 +9,11 @@ Commands:
 verify evaluates every criterion, paired or single, from the streaming
 engine at any schedule length: the analytic column from one
 ``stream_nullifier_variances`` run, the evaluator memory reads too, and the
-sampled column from one sampling run per compatible measurement plan.
+sampled column from ``stream_nullifier_estimates``, one sampling run per
+compatible measurement plan.  Both are streamed: a sampled plan holds only
+the draws of the modes its nullifiers still read, so a cluster holds a few
+rows at any length, while GHZ and star criteria read every mode and hold
+every row.
 
 Exit codes: 0 success, 1 usage or parse error, 2 hardware infeasibility
 under --strict-hardware, 3 selfcheck failure.  All tabular outputs are CSV
@@ -26,16 +30,16 @@ from pathlib import Path
 import numpy as np
 
 from .compiler import TargetState, compile_target, hardware_check
-from .engine import FAULTS, memory_experiment, run_loop_sampled
+from .engine import FAULTS, memory_experiment
 from .gaussian import SqueezerSpec
 from .schedule import (DEFAULT_TAU_NS, ControlSchedule, NoiseConfig,
                        ScheduleFormatError, parse_schedule, serialize_schedule)
 from .selfcheck import run_selfcheck
-from .verifier import (criterion_parts, estimate, nullifiers_for,
-                       plan_measurements, stream_nullifier_variances)
-# unused here, but perfbench/tracing.py rebinds both names on this module
-from .engine import run_unrolled  # noqa: F401
-from .verifier import variance_analytic  # noqa: F401
+from .verifier import (criterion_parts, nullifiers_for,
+                       stream_nullifier_estimates, stream_nullifier_variances)
+# unused here, but perfbench/tracing.py rebinds these names on this module
+from .engine import run_loop_sampled, run_unrolled  # noqa: F401
+from .verifier import estimate, plan_measurements, variance_analytic  # noqa: F401
 
 # verify tries these in order; at n = 2 ghz reads as epr, star and cluster1d as cluster2
 _TARGETS = {
@@ -90,13 +94,13 @@ def _write_csv(path: str, argv: list[str], header: str, rows: list[str]) -> None
 def _cmd_compile(args, argv) -> int:
     try:
         target = _TARGETS[args.target](3 if args.n is None else args.n)
+        if args.n not in (None, target.n):
+            raise ValueError(f"{args.target} always has {target.n} modes; "
+                             f"--n {args.n} is refused")
         schedule = compile_target(target)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.n not in (None, target.n):
-        print(f"warning: {args.target} always has {target.n} modes; "
-              f"--n {args.n} is ignored", file=sys.stderr)
     out = args.output or f"{args.target}.json"
     Path(out).write_text(serialize_schedule(schedule))
     report = hardware_check(schedule)
@@ -135,22 +139,10 @@ class ReportRow:
         return self.sampled < self.threshold
 
 
-def _sampled_estimates(schedule, source, criteria, shots, seed) -> dict:
-    """{spec: Estimate}, sampling each compatible measurement plan once."""
-    groups = plan_measurements(criteria, schedule.num_outputs, shots)
-    seeds = np.random.SeedSequence(seed).spawn(len(groups))
-    results = {}
-    for (plan, specs), child in zip(groups, seeds):
-        samples = run_loop_sampled(schedule, source, plan, seed=child)
-        for spec in specs:
-            results[spec] = estimate(samples, spec)
-    return results
-
-
 def _report_rows(schedule, source, criteria, shots, seed) -> list[ReportRow]:
     """One row per criterion: its streamed value and its parts' sampled sum."""
     analytic = stream_nullifier_variances(schedule, source, criteria)
-    results = _sampled_estimates(schedule, source, criteria, shots, seed)
+    results = stream_nullifier_estimates(schedule, source, criteria, shots, seed)
     rows = []
     for crit, value in zip(criteria, analytic):
         estimates = [results[spec] for spec in criterion_parts(crit)]

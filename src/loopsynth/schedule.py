@@ -52,7 +52,11 @@ class BinSetting:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Loop noise model.  Ideal mode forces loss 0, jitter 0, efficiency 1."""
+    """Loop noise model.  Ideal mode forces loss 0, jitter 0, efficiency 1.
+
+    The given values are range-checked in either mode, so an ideal config
+    refuses an out-of-range value before it overwrites it.
+    """
 
     loop_loss_per_trip: float = DEFAULT_LOSS_PER_TRIP
     phase_jitter_deg_per_trip: float = DEFAULT_JITTER_DEG_PER_TRIP
@@ -63,16 +67,16 @@ class NoiseConfig:
         if self.mode not in NOISE_MODES:
             raise ValueError(
                 f"mode must be one of {NOISE_MODES}, got {self.mode!r}")
-        if self.mode == "ideal":
-            object.__setattr__(self, "loop_loss_per_trip", 0.0)
-            object.__setattr__(self, "phase_jitter_deg_per_trip", 0.0)
-            object.__setattr__(self, "detection_efficiency", 1.0)
         if not 0.0 <= self.loop_loss_per_trip <= 1.0:
             raise ValueError("loop loss per trip must be in [0, 1]")
         if not 0.0 <= self.phase_jitter_deg_per_trip < math.inf:
             raise ValueError("phase jitter must be finite and >= 0")
         if not 0.0 < self.detection_efficiency <= 1.0:
             raise ValueError("detection efficiency must be in (0, 1]")
+        if self.mode == "ideal":
+            object.__setattr__(self, "loop_loss_per_trip", 0.0)
+            object.__setattr__(self, "phase_jitter_deg_per_trip", 0.0)
+            object.__setattr__(self, "detection_efficiency", 1.0)
 
 
 @dataclass(frozen=True)

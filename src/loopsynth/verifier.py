@@ -23,11 +23,11 @@ import numpy as np
 
 from . import gaussian as g
 from .compiler import TargetState, compile_target, fibonacci_numbers
-from .engine import _window_covariances
+from .engine import _window_covariances, run_loop
 from .gaussian import GaussianState, MeasurementPlan, SampleSet, SqueezerSpec
 from .schedule import ControlSchedule, NoiseConfig
-# unused here, but perfbench/tracing.py rebinds both names on this module
-from .engine import run_loop, run_unrolled  # noqa: F401
+# unused here, but perfbench/tracing.py rebinds it on this module
+from .engine import run_unrolled  # noqa: F401
 
 NULLIFIER_THRESHOLD = 0.5
 INSEPARABILITY_THRESHOLD = 1.0
@@ -232,14 +232,27 @@ def variance_analytic(state: GaussianState, spec: NullifierSpec,
     return value + shift * shift
 
 
+def _sample_estimate(spec: NullifierSpec, row, shots: int) -> Estimate:
+    """Unbiased sample variance of the spec's combination, with Gaussian stderr.
+
+    ``row(mode)`` gives that mode's draws, one per shot; the combination is
+    built from zeros in term order, so every caller gets the same bits.
+    """
+    combo = np.zeros(shots)
+    for mode, _, coeff in spec.terms:
+        combo += coeff * row(mode)
+    value = float(np.var(combo, ddof=1))
+    stderr = value * math.sqrt(2.0 / (shots - 1))
+    return Estimate(value=value, stderr=stderr, shots=shots)
+
+
 def estimate(samples: SampleSet, spec: NullifierSpec) -> Estimate:
     """Unbiased sample variance of the combination, with Gaussian stderr.
 
     Every quadrature in the spec must match the basis the samples were
     taken in (0 degrees for x, 90 for p).
     """
-    combo = np.zeros(samples.plan.shots)
-    for mode, quad, coeff in spec.terms:
+    for mode, quad, _ in spec.terms:
         col = mode - 1
         if not 0 <= col < len(samples.plan.angles_deg):
             raise ValueError(f"mode {mode} not covered by the sample set")
@@ -248,11 +261,8 @@ def estimate(samples: SampleSet, spec: NullifierSpec) -> Estimate:
         if abs(have - want) > 1e-9:
             raise ValueError(
                 f"mode {mode} was measured at {have} deg, spec needs {want}")
-        combo += coeff * samples.values[:, col]
-    n = samples.plan.shots
-    value = float(np.var(combo, ddof=1))
-    stderr = value * math.sqrt(2.0 / (n - 1))
-    return Estimate(value=value, stderr=stderr, shots=n)
+    return _sample_estimate(spec, lambda mode: samples.values[:, mode - 1],
+                            samples.plan.shots)
 
 
 def plan_measurements(criteria, num_modes: int,
@@ -325,6 +335,38 @@ def linear_cluster_oracle_cov(n: int, source: SqueezerSpec) -> GaussianState:
 # ---------------------------------------------------------------------------
 
 
+def _reading_rule(parts, num_outputs: int, window: int | None = None):
+    """When a stream reads each part and how long it holds each output.
+
+    ``parts`` yields ``(key, spec)`` pairs.  Returns ``(by_newest,
+    last_read)``: ``by_newest[k]`` lists the pairs read at record k, the
+    record of their newest mode, and ``last_read[m]`` is the last record
+    that reads output m (entry 0 is unused).  By default an output is held
+    until the newest mode of the last part that reads it, and an unread
+    one only at its own record; an explicit ``window`` holds the last
+    ``window`` outputs instead.  Parts with a mode outside the outputs or a
+    span wider than the window raise ValueError.
+    """
+    last_read = list(range(num_outputs + 1)) if window is None \
+        else range(window - 1, num_outputs + window)
+    by_newest: dict[int, list] = {}
+    missing = []
+    for key, spec in parts:
+        read = spec.modes()
+        if read[0] < 1 or read[-1] > num_outputs or (
+                window is not None and read[-1] - read[0] >= window):
+            missing.append(spec.label)
+            continue
+        by_newest.setdefault(read[-1], []).append((key, spec))
+        if window is None:  # hold each mode until its newest reader
+            for mode in read:
+                last_read[mode] = max(last_read[mode], read[-1])
+    if missing:
+        raise ValueError(
+            f"window never covered: {', '.join(dict.fromkeys(missing))}")
+    return by_newest, last_read
+
+
 def stream_nullifier_variances(schedule: ControlSchedule, source: SqueezerSpec,
                                criteria, window: int | None = None) -> list[float]:
     """Analytic value of each criterion from one streaming run.
@@ -343,25 +385,9 @@ def stream_nullifier_variances(schedule: ControlSchedule, source: SqueezerSpec,
     on the matching ``run_loop`` record bit for bit with no validated state
     built per record.  A negative or non-finite variance raises ValueError.
     """
-    num_outputs = schedule.num_outputs
-    last_read = list(range(num_outputs + 1)) if window is None \
-        else range(window - 1, num_outputs + window)
-    by_newest: dict[int, list[tuple[int, NullifierSpec]]] = {}
-    missing = []
-    for owner, crit in enumerate(criteria):
-        for spec in criterion_parts(crit):
-            read = spec.modes()
-            if read[0] < 1 or read[-1] > num_outputs or (
-                    window is not None and read[-1] - read[0] >= window):
-                missing.append(spec.label)
-                continue
-            by_newest.setdefault(read[-1], []).append((owner, spec))
-            if window is None:  # hold each mode until its newest reader
-                for mode in read:
-                    last_read[mode] = max(last_read[mode], read[-1])
-    if missing:
-        raise ValueError(
-            f"window never covered: {', '.join(dict.fromkeys(missing))}")
+    by_newest, last_read = _reading_rule(
+        ((owner, spec) for owner, crit in enumerate(criteria)
+         for spec in criterion_parts(crit)), schedule.num_outputs, window)
 
     # at most two parts each, so a total is its parts' in-order sum exactly
     totals = [0.0] * len(criteria)
@@ -385,6 +411,42 @@ def stream_nullifier_variances(schedule: ControlSchedule, source: SqueezerSpec,
             "negative or non-finite nullifier variance: "
             + ", ".join(dict.fromkeys(bad)))
     return totals
+
+
+def stream_nullifier_estimates(schedule: ControlSchedule, source: SqueezerSpec,
+                               criteria, shots: int,
+                               seed=None) -> dict[NullifierSpec, Estimate]:
+    """Sampled estimate of each criterion part, streamed plan by plan.
+
+    The sampled twin of ``stream_nullifier_variances``.  The parts are
+    grouped by ``plan_measurements``, and each plan is sampled once by
+    ``run_loop`` with its own child of ``SeedSequence(seed)``.  A part is
+    estimated at the record of its newest mode and each mode's draws are
+    dropped after their last read, so a plan holds only the rows its parts
+    still read, not the whole modes-by-shots array.  Each estimate equals
+    ``estimate`` on ``run_loop_sampled`` with the same plan and child seed
+    bit for bit.  A non-finite draw raises ValueError, as ``SampleSet``
+    refuses one.
+    """
+    groups = plan_measurements(criteria, schedule.num_outputs, shots)
+    seeds = np.random.SeedSequence(seed).spawn(len(groups))
+    results = {}
+    for (plan, specs), child in zip(groups, seeds):
+        by_newest, last_read = _reading_rule(
+            ((spec, spec) for spec in specs), schedule.num_outputs)
+        drops: list[list[int]] = [[] for _ in last_read]
+        for mode in range(1, len(last_read)):
+            drops[last_read[mode]].append(mode)
+        rows: dict[int, np.ndarray] = {}
+        for rec in run_loop(schedule, source, seed=child, sampling=plan):
+            if not np.isfinite(rec.values).all():
+                raise ValueError(f"non-finite samples of mode {rec.index}")
+            rows[rec.index] = rec.values
+            for spec, _ in by_newest.get(rec.index, ()):
+                results[spec] = _sample_estimate(spec, rows.__getitem__, shots)
+            for mode in drops[rec.index]:
+                del rows[mode]
+    return results
 
 
 CALIBRATION_TARGETS: tuple[tuple[str, TargetState, int, float], ...] = (

@@ -3,8 +3,10 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
+from loopsynth import verifier
 from loopsynth.cli import main
 from loopsynth.compiler import TargetState, compile_target
 from loopsynth.engine import run_unrolled
@@ -45,17 +47,21 @@ def test_compile_large_linear_cluster(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["epr", "cluster2"])
-def test_compile_warns_when_a_fixed_size_target_ignores_n(tmp_path, capsys, name):
+def test_compile_refuses_n_that_a_fixed_size_target_ignores(tmp_path, capsys, name):
     out = tmp_path / "s.json"
     assert main(["compile", name, "-o", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert main(["compile", name, "--n", "2", "-o", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    assert main(["compile", name, "--n", "7", "-o", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"3 bins for {name}(n=2)" in captured.out
+    out.unlink()
+    assert main(["compile", name, "--n", "7", "-o", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == \
-        f"warning: {name} always has 2 modes; --n 7 is ignored\n"
-    assert f"3 bins for {name}(n=2)" in captured.out
+        f"error: {name} always has 2 modes; --n 7 is refused\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_verify_names_the_bad_field_of_a_schedule(tmp_path, capsys):
@@ -65,6 +71,26 @@ def test_verify_names_the_bad_field_of_a_schedule(tmp_path, capsys):
     assert main(["verify", str(sched), "--csv", str(csv)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {sched}: bins[1]: source must be one of")
+    assert not csv.exists()
+
+
+def test_verify_refuses_a_non_finite_draw(tmp_path, capsys, monkeypatch):
+    sched, csv = tmp_path / "c.json", tmp_path / "c.csv"
+    assert main(["compile", "cluster1d", "--n", "4", "-o", str(sched)]) == 0
+    real = verifier.run_loop
+
+    def corrupted(*args, **kwargs):
+        for record in real(*args, **kwargs):
+            if record.index == 3:
+                values = record.values.copy()
+                values[7] = np.nan
+                record = dataclasses.replace(record, values=values)
+            yield record
+
+    monkeypatch.setattr(verifier, "run_loop", corrupted)
+    capsys.readouterr()
+    assert main(["verify", str(sched), "--shots", "100", "--csv", str(csv)]) == 1
+    assert capsys.readouterr().err == "error: non-finite samples of mode 3\n"
     assert not csv.exists()
 
 
@@ -159,13 +185,15 @@ N2_ALIASES = {"ghz": "epr", "star": "cluster2", "cluster1d": "cluster2"}
     "name", ["epr", "cluster2", "ghz", "cluster1d", "star", "infinite"])
 def test_verify_recognises_each_compiled_target(tmp_path, capsys, name, n):
     sched = tmp_path / "s.json"
-    assert main(["compile", name, "--n", str(n), "-o", str(sched)]) == 0
+    code = main(["compile", name, "--n", str(n), "-o", str(sched)])
+    if name in ("epr", "cluster2") and n != 2:
+        assert code == 1  # a fixed-size target compiles at its own n only
+        return
+    assert code == 0
     capsys.readouterr()
     assert main(["verify", str(sched), "--ideal", "--shots", "200",
                  "--csv", str(tmp_path / "s.csv")]) == 0
-    if name in ("epr", "cluster2"):
-        expected = f"{name}(n=2)"
-    elif n == 2:
+    if n == 2:
         expected = f"{N2_ALIASES.get(name, name)}(n=2)"
     else:
         expected = f"{name}(n={n})"

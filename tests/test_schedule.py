@@ -101,6 +101,12 @@ def test_ideal_mode_forces_noise_free():
     assert noise.detection_efficiency == 1.0
 
 
+def test_ideal_mode_checks_values_before_forcing_them():
+    # ideal mode overwrites the noise values, but only once they are valid
+    with pytest.raises(ValueError, match="phase jitter"):
+        NoiseConfig(mode="ideal", phase_jitter_deg_per_trip=float("nan"))
+
+
 @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1.0])
 def test_non_finite_or_negative_jitter_rejected(jitter):
     with pytest.raises(ValueError, match="phase jitter"):
@@ -147,6 +153,8 @@ def with_bin(doc, **fields):
     (with_bin(two_bin_doc(), T=1.2), r"^bins\[1\]: transmissivity 1\.2 outside"),
     (two_bin_doc(mode="realistic", loop_loss_per_trip=1.5),
      r"^noise: loop loss per trip must be in \[0, 1\]"),
+    (two_bin_doc(loop_loss_per_trip=1.5),  # ideal by default
+     r"^noise: loop loss per trip must be in \[0, 1\]"),
     (two_bin_doc(mode="realistic", detection_efficiency=0.0),
      r"^noise: detection efficiency must be in \(0, 1\]"),
     (two_bin_doc(mode="realistic", phase_jitter_deg_per_trip=-1.0),
@@ -159,8 +167,8 @@ def with_bin(doc, **fields):
     ({"bins": [{"T": 1.0}, [0.5]]}, r"^bins\[1\]: expected an object$"),
     ({"noise": "ideal", "bins": [{"T": 1.0}, {"T": 1.0}]},
      r"^noise: expected an object$"),
-], ids=["source", "mode", "T", "loss", "efficiency", "jitter", "tau", "one-bin",
-        "missing-T", "bin-not-object", "noise-not-object"])
+], ids=["source", "mode", "T", "loss", "ideal-loss", "efficiency", "jitter",
+        "tau", "one-bin", "missing-T", "bin-not-object", "noise-not-object"])
 def test_type_rules_refuse_with_path_and_field(doc, message):
     with pytest.raises(ScheduleFormatError, match=message):
         parse_schedule(json.dumps(doc))

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from loopsynth import verifier
 from loopsynth.compiler import TargetState, compile_target
-from loopsynth.engine import run_loop, run_unrolled
+from loopsynth.engine import run_loop, run_loop_sampled, run_unrolled
 from loopsynth.gaussian import (GaussianState, MeasurementPlan, SqueezerSpec,
                                 apply_beamsplitter, apply_phase,
                                 sample_quadratures, vacuum)
@@ -12,8 +14,8 @@ from loopsynth.verifier import (CALIBRATION_TARGETS, NullifierSpec,
                                 calibrate_efficiency, criterion_parts,
                                 cluster_nullifier, estimate,
                                 linear_cluster_oracle_cov, nullifiers_for,
-                                plan_measurements, stream_nullifier_variances,
-                                variance_analytic)
+                                plan_measurements, stream_nullifier_estimates,
+                                stream_nullifier_variances, variance_analytic)
 
 SOURCE = SqueezerSpec(5.0, 8.0)
 
@@ -310,6 +312,51 @@ def test_criteria_equal_their_parts_summed_in_order(target, mode):
     expected = [sum(parts[spec] for spec in criterion_parts(crit))
                 for crit in criteria]
     assert stream_nullifier_variances(sched, SOURCE, criteria) == expected
+
+
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+@pytest.mark.parametrize("target", STREAM_TARGETS, ids=lambda t: f"{t.kind}{t.n}")
+def test_sampled_stream_equals_estimate_on_whole_sample_sets(target, mode):
+    # what keeps the verify CSV bytes: the same plans, the same child seeds
+    # and the same estimator formula as on a whole SampleSet
+    sched = compile_target(target, NoiseConfig(mode=mode))
+    criteria = nullifiers_for(target)
+    groups = plan_measurements(criteria, sched.num_outputs, 300)
+    seeds = np.random.SeedSequence(8).spawn(len(groups))
+    expected = {spec: estimate(run_loop_sampled(sched, SOURCE, plan, seed=child),
+                               spec)
+                for (plan, specs), child in zip(groups, seeds) for spec in specs}
+    assert stream_nullifier_estimates(sched, SOURCE, criteria, 300, seed=8) \
+        == expected
+
+
+def test_sampled_stream_holds_only_the_rows_still_read():
+    target = TargetState.linear_cluster(400)
+    sched = compile_target(target, NoiseConfig(mode="realistic"))
+    criteria = nullifiers_for(target)
+    # a first run imports what numpy loads lazily, which is not the stream's
+    stream_nullifier_estimates(sched, SOURCE, criteria, 2, seed=3)
+    tracemalloc.start()
+    try:
+        estimates = stream_nullifier_estimates(sched, SOURCE, criteria, 2000,
+                                               seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 400
+    assert peak < 400 * 2000 * 8 / 10  # a tenth of one plan's whole array
+
+
+def test_total_momentum_holds_every_row():
+    target = TargetState.ghz(5)
+    criteria = nullifiers_for(target)
+    total_p = criteria[0].second
+    by_newest, last_read = verifier._reading_rule([(total_p, total_p)], 5)
+    assert by_newest == {5: [(total_p, total_p)]}
+    assert list(last_read) == [0, 5, 5, 5, 5, 5]
+    estimates = stream_nullifier_estimates(compile_target(target), SOURCE,
+                                           criteria, 500, seed=1)
+    assert estimates[total_p].value < total_p.vacuum_variance()
 
 
 def test_mixed_criteria_give_one_value_per_entry_in_order():
