@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from loopsynth.gaussian import MeasurementPlan, SampleSet
-from loopsynth.waveform import (TraceFrame, WaveformConfig,
+from loopsynth.gaussian import VACUUM_VARIANCE, MeasurementPlan, SampleSet
+from loopsynth.waveform import (_CHUNK, TraceFrame, WaveformConfig,
                                 extract_quadratures, frame_from_text,
                                 frame_to_text, mode_function,
                                 orthogonality_matrix, shot_noise_frames,
@@ -224,3 +226,129 @@ def test_frame_text_rejects_uneven_time_steps():
 def test_trace_frame_refuses_bad_timing(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def _per_shot_frames(quadratures, config, rng, noise):
+    """Reference oracle: one draw, one projection and one frame per shot."""
+    shots, num_modes = quadratures.values.shape
+    n = config.frame_length(num_modes)
+    dt_s = config.dt_ns * 1e-9
+    funcs = np.stack([mode_function(config, k, n) for k in range(1, num_modes + 1)])
+    sigma = np.sqrt(VACUUM_VARIANCE / dt_s)
+    frames = []
+    for shot in range(shots):
+        trace = quadratures.values[shot] @ funcs
+        if noise:
+            floor = sigma * rng.standard_normal(n)
+            floor -= (funcs @ floor * dt_s) @ funcs
+            trace = trace + floor
+        frames.append(trace)
+    return np.array(frames)
+
+
+def _per_frame_projection(frames, config, num_modes):
+    """Reference oracle: q_k = sum f_k s dt, one frame at a time."""
+    n = frames[0].samples.size
+    funcs = np.stack([mode_function(config, k, n) for k in range(1, num_modes + 1)])
+    return np.stack([funcs @ f.samples * (config.dt_ns * 1e-9) for f in frames])
+
+
+_BLOCK_EDGES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+@pytest.mark.parametrize("shots", _BLOCK_EDGES)
+@pytest.mark.parametrize("noise", [False, True])
+def test_block_synthesis_matches_the_per_shot_loop(shots, noise):
+    shots = max(shots, 2)  # a MeasurementPlan takes at least two shots
+    config = WaveformConfig()
+    plan = MeasurementPlan((0.0, 90.0) * 4, shots=shots)
+    quads = SampleSet(plan, np.random.default_rng(shots).normal(0, 0.7, (shots, 8)))
+    rng, oracle_rng = np.random.default_rng(40), np.random.default_rng(40)
+    frames = synthesize_frames(quads, config, seed=rng, noise=noise)
+    expected = _per_shot_frames(quads, config, oracle_rng, noise)
+    got = np.stack([f.samples for f in frames])
+    if noise:
+        # the floor's projection is one gemm per block instead of one gemv
+        # per shot, so it may differ at round-off
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    else:
+        assert np.array_equal(got, expected)
+    assert rng.random() == oracle_rng.random()
+    back = extract_quadratures(frames, config, num_modes=8, plan=plan)
+    assert np.max(np.abs(back.values - _per_frame_projection(frames, config, 8))) < 1e-14
+
+
+@pytest.mark.parametrize("num_frames", _BLOCK_EDGES)
+def test_block_shot_noise_matches_the_per_frame_draws(num_frames):
+    config = WaveformConfig()
+    rng, oracle_rng = np.random.default_rng(41), np.random.default_rng(41)
+    frames = shot_noise_frames(config, num_modes=3, num_frames=num_frames, seed=rng)
+    n = config.frame_length(3)
+    sigma = np.sqrt(VACUUM_VARIANCE / (config.dt_ns * 1e-9))
+    assert len(frames) == num_frames
+    for frame in frames:
+        assert np.array_equal(frame.samples, sigma * oracle_rng.standard_normal(n))
+    assert rng.random() == oracle_rng.random()
+
+
+def test_synthesis_memory_stays_near_the_frames_own_bytes():
+    # one whole (shots, n) temporary would double the peak
+    config = WaveformConfig()
+    shots = 5000
+    quads = SampleSet(MeasurementPlan((0.0,) * 8, shots=shots),
+                      np.random.default_rng(3).normal(size=(shots, 8)))
+    tracemalloc.start()
+    try:
+        frames = synthesize_frames(quads, config, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == shots
+    assert peak <= 1.15 * shots * config.frame_length(8) * 8
+
+
+def test_trace_frame_copies_a_writable_array():
+    source = np.array([0.5, -1.0, 2.0])
+    frame = TraceFrame(source, 0.0, 0.8)
+    source[0] = 7.0
+    assert np.array_equal(frame.samples, [0.5, -1.0, 2.0])
+    assert not frame.samples.flags.writeable
+
+
+def test_trace_frame_adopts_a_frozen_view():
+    block = np.random.default_rng(0).normal(size=(3, 4))
+    block.setflags(write=False)
+    frame = TraceFrame(block[1], 0.0, 0.8)
+    assert np.shares_memory(frame.samples, block)
+    # a read-only view of a writable array could still change: copied
+    writable = np.arange(4.0)
+    view = writable[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(TraceFrame(view, 0.0, 0.8).samples, writable)
+
+
+def test_synthesized_frames_are_read_only():
+    config = WaveformConfig()
+    plan = MeasurementPlan((0.0, 0.0), shots=_CHUNK + 3)
+    quads = SampleSet(plan, np.ones((_CHUNK + 3, 2)))
+    for noise in (False, True):
+        for frame in synthesize_frames(quads, config, seed=5, noise=noise):
+            assert not frame.samples.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                frame.samples[0] = 1.0
+
+
+def _frozen_copy(array):
+    array = np.array(array, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([1.0, np.nan, 2.0]), np.array([1.0, np.inf]),
+    _frozen_copy([1.0, -np.inf]), _frozen_copy([np.nan]),
+    np.ones((2, 3)), _frozen_copy(np.ones((2, 3))), np.float64(1.0),
+], ids=["nan", "inf", "frozen-neginf", "frozen-nan", "2-d", "frozen-2-d", "0-d"])
+def test_trace_frame_refuses_non_finite_or_non_1d_samples(samples):
+    with pytest.raises(ValueError, match="samples must be a finite 1-D array"):
+        TraceFrame(samples, 0.0, 0.8)
