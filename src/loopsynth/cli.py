@@ -155,6 +155,9 @@ def _report_rows(schedule, source, criteria, shots, seed) -> list[ReportRow]:
 
 
 def _cmd_verify(args, argv) -> int:
+    if args.seed < 0:  # numpy's SeedSequence would refuse it without a name
+        print("error: seed must be >= 0", file=sys.stderr)
+        return 1
     try:
         text = Path(args.schedule).read_text()
     except OSError as exc:

@@ -174,9 +174,14 @@ class AxisReport:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    feasible: bool
+    """Feasibility of both modulator axes; feasible when both are."""
+
     delta: AxisReport
     theta: AxisReport
+
+    @property
+    def feasible(self) -> bool:
+        return self.delta.feasible and self.theta.feasible
 
 
 def delta_for_transmissivity(t: float) -> float:
@@ -229,10 +234,5 @@ def hardware_check(schedule: ControlSchedule) -> FeasibilityReport:
     """
     deltas = [delta_for_transmissivity(b.T) for b in schedule.bins]
     thetas = [b.theta_deg % 360.0 for b in schedule.bins]
-    delta_rep = _axis_report("delta", deltas, LEVEL_TOLERANCE)
-    theta_rep = _axis_report("theta", thetas, LEVEL_TOLERANCE)
-    return FeasibilityReport(
-        feasible=delta_rep.feasible and theta_rep.feasible,
-        delta=delta_rep,
-        theta=theta_rep,
-    )
+    return FeasibilityReport(_axis_report("delta", deltas, LEVEL_TOLERANCE),
+                             _axis_report("theta", thetas, LEVEL_TOLERANCE))

@@ -146,17 +146,20 @@ def _drop_mode(cov: np.ndarray, dim: int, slot: int) -> None:
 class RunRecord:
     """One exited mode: either a windowed analytic state or sampled values.
 
-    ``window_modes`` lists the 1-based output indices covered by ``state``
+    ``index`` is the 1-based output, which exits bin ``exit_bin`` =
+    ``index + 1``.  ``window_modes`` lists the outputs covered by ``state``
     (the newest is ``index`` itself).  In sampling runs ``values`` holds one
     measured quadrature per shot and ``state`` is None.
     """
 
     index: int
-    exit_bin: int
-    phi_deg: float
     window_modes: tuple[int, ...] | None = None
     state: GaussianState | None = None
     values: np.ndarray | None = None
+
+    @property
+    def exit_bin(self) -> int:
+        return self.index + 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +268,15 @@ def _schedule_maps(schedule: ControlSchedule, source: SqueezerSpec):
     return _bin_maps(source, channels, faulty), _dephasing_after_map(channels[2])
 
 
+def _drop_lists(last_read, num_outputs: int) -> list[list[int]]:
+    """By record, the outputs dropped after it: m after max(m, last_read[m])."""
+    drops: list[list[int]] = [[] for _ in range(num_outputs + 1)]
+    for m, at in enumerate(last_read[1:num_outputs + 1], start=1):
+        if at <= num_outputs:  # read past the last output: never dropped
+            drops[max(m, at)].append(m)
+    return drops
+
+
 def _window_covariances(schedule: ControlSchedule, source: SqueezerSpec,
                         last_read) -> Iterator[tuple[int, list[int], np.ndarray]]:
     """Yield ``(index, modes, cov)`` per non-discarded output, unvalidated.
@@ -276,10 +288,7 @@ def _window_covariances(schedule: ControlSchedule, source: SqueezerSpec,
     valid until the stream resumes.  The mean is zero; ``cov`` is as stepped.
     """
     maps, dephasing = _schedule_maps(schedule, source)
-    drops: list[list[int]] = [[] for _ in range(schedule.num_outputs + 1)]
-    for m, at in enumerate(last_read[1:len(drops)], start=1):
-        if at < len(drops):  # dropped right after record max(m, at)
-            drops[at if at > m else m].append(m)
+    drops = _drop_lists(last_read, schedule.num_outputs)
     held = itertools.accumulate((1 - len(due) for due in drops[1:]), initial=0)
     size = 2 * (max(held) + 2)  # the most held, the loop mode and a pulse
     cov = np.zeros((size, size))
@@ -371,17 +380,13 @@ def run_loop(schedule: ControlSchedule, source: SqueezerSpec, window: int = 8,
     if sampling is None:  # each block validated into a record
         last_read = range(window - 1, num_outputs + window)
         for index, modes, cov in _window_covariances(schedule, source, last_read):
-            yield RunRecord(index=index, exit_bin=index + 1,
-                            phi_deg=schedule.bins[index].phi_deg,
-                            window_modes=tuple(modes),
-                            state=GaussianState(np.zeros(cov.shape[0]), cov))
+            yield RunRecord(index, tuple(modes),
+                            GaussianState(np.zeros(cov.shape[0]), cov))
         return
     columns = _sample_stream(schedule, source, sampling.angles_deg,
                              sampling.shots, np.random.default_rng(seed))
-    for index, (phi, values) in enumerate(zip(sampling.angles_deg, columns),
-                                          start=1):
-        yield RunRecord(index=index, exit_bin=index + 1, phi_deg=phi,
-                        values=values)
+    for index, values in enumerate(columns, start=1):
+        yield RunRecord(index, values=values)
 
 
 def run_loop_sampled(schedule: ControlSchedule, source: SqueezerSpec,

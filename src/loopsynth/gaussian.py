@@ -151,13 +151,21 @@ class MeasurementPlan:
             raise ValueError("shots must be >= 2")
 
 
-def _frozen(array: np.ndarray) -> bool:
-    """True if neither the array nor any array it views is writable."""
-    while isinstance(array, np.ndarray):
-        if array.flags.writeable:
-            return False
-        array = array.base
-    return True
+def _adopted(values) -> np.ndarray:
+    """``values`` as a read-only float64 array, copied unless it is one.
+
+    A float64 array is kept as is when neither it nor any array it views is
+    writable, as the engine and the frame synthesis hand over; anything
+    else, e.g. a caller's writable buffer, is copied.
+    """
+    view = values
+    while isinstance(view, np.ndarray) and not view.flags.writeable:
+        view = view.base
+    if isinstance(view, np.ndarray) or not (
+            isinstance(values, np.ndarray) and values.dtype == np.float64):
+        values = np.array(values, dtype=float)
+        values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,12 +176,7 @@ class SampleSet:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # an array nobody can write (as the engine hands over) is adopted as
-        # is; anything else, e.g. a caller's writable buffer, is copied
-        values = self.values
-        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
-                and _frozen(values)):
-            values = np.array(values, dtype=float)
+        values = _adopted(self.values)
         if values.shape != (self.plan.shots, len(self.plan.angles_deg)):
             raise ValueError(
                 f"sample shape {values.shape} does not match plan "
@@ -181,7 +184,6 @@ class SampleSet:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite samples")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gaussian as g
 from .compiler import TargetState, compile_target, fibonacci_numbers
-from .engine import _window_covariances, run_loop
+from .engine import _drop_lists, _window_covariances, run_loop
 from .gaussian import GaussianState, MeasurementPlan, SampleSet, SqueezerSpec
 from .schedule import ControlSchedule, NoiseConfig
 # unused here, but perfbench/tracing.py rebinds it on this module
@@ -88,18 +88,18 @@ def _format_terms(terms) -> str:
 
 @dataclass(frozen=True)
 class InseparabilitySpec:
-    """Pair of nullifiers whose summed variance certifies inseparability."""
+    """Pair of nullifiers whose summed variance certifies inseparability.
+
+    Every pair has threshold 1; its label is formatted when read.
+    """
 
     first: NullifierSpec
     second: NullifierSpec
-    threshold: float = INSEPARABILITY_THRESHOLD
-    label: str = ""
+    threshold: ClassVar[float] = INSEPARABILITY_THRESHOLD
 
-    def __post_init__(self):
-        if not self.label:
-            object.__setattr__(
-                self, "label",
-                f"var({self.first.label})+var({self.second.label})")
+    @property
+    def label(self) -> str:
+        return f"var({self.first.label})+var({self.second.label})"
 
     def vacuum_variance(self) -> float:
         return self.first.vacuum_variance() + self.second.vacuum_variance()
@@ -114,9 +114,10 @@ def criterion_parts(crit) -> tuple[NullifierSpec, ...]:
 
 @dataclass(frozen=True)
 class Estimate:
+    """A sampled variance and its Gaussian standard error."""
+
     value: float
     stderr: float
-    shots: int
 
 
 def _n(*terms, label: str = "") -> NullifierSpec:
@@ -243,7 +244,7 @@ def _sample_estimate(spec: NullifierSpec, row, shots: int) -> Estimate:
         combo += coeff * row(mode)
     value = float(np.var(combo, ddof=1))
     stderr = value * math.sqrt(2.0 / (shots - 1))
-    return Estimate(value=value, stderr=stderr, shots=shots)
+    return Estimate(value=value, stderr=stderr)
 
 
 def estimate(samples: SampleSet, spec: NullifierSpec) -> Estimate:
@@ -434,9 +435,7 @@ def stream_nullifier_estimates(schedule: ControlSchedule, source: SqueezerSpec,
     for (plan, specs), child in zip(groups, seeds):
         by_newest, last_read = _reading_rule(
             ((spec, spec) for spec in specs), schedule.num_outputs)
-        drops: list[list[int]] = [[] for _ in last_read]
-        for mode in range(1, len(last_read)):
-            drops[last_read[mode]].append(mode)
+        drops = _drop_lists(last_read, schedule.num_outputs)
         rows: dict[int, np.ndarray] = {}
         for rec in run_loop(schedule, source, seed=child, sampling=plan):
             if not np.isfinite(rec.values).all():

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import VACUUM_VARIANCE, MeasurementPlan, SampleSet, _frozen
+from .gaussian import VACUUM_VARIANCE, MeasurementPlan, SampleSet, _adopted
 
 # Shots per row block.  A block needs one (rows, n) temporary beside the
 # frames it becomes, so this bounds the memory above the frames themselves.
@@ -74,24 +74,16 @@ class WaveformConfig:
 
 @dataclass(frozen=True, eq=False)
 class TraceFrame:
-    """One acquired (or synthesized) homodyne trace.
-
-    A float64 array nobody can write is adopted as is; anything else, e.g.
-    a caller's writable buffer, is copied.
-    """
+    """One acquired (or synthesized) homodyne trace, held by ``_adopted``."""
 
     samples: np.ndarray
     start_ns: float
     dt_ns: float
 
     def __post_init__(self):
-        samples = self.samples
-        if not (isinstance(samples, np.ndarray) and samples.dtype == np.float64
-                and _frozen(samples)):
-            samples = np.array(samples, dtype=float)
+        samples = _adopted(self.samples)
         if samples.ndim != 1 or not np.isfinite(samples).all():
             raise ValueError("samples must be a finite 1-D array")
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         if not math.isfinite(self.start_ns):
             raise ValueError(f"start_ns must be finite, got {self.start_ns!r}")
@@ -169,6 +161,10 @@ def shot_noise_frames(config: WaveformConfig, num_modes: int, num_frames: int,
     in row blocks, each frame a read-only view of its block; the draws are
     those of one n-sample draw per frame in turn.
     """
+    if num_modes < 1:
+        raise ValueError(f"num_modes must be >= 1, got {num_modes!r}")
+    if num_frames < 0:
+        raise ValueError(f"num_frames must be >= 0, got {num_frames!r}")
     n = config.frame_length(num_modes)
     dt_s = config.dt_ns * 1e-9
     rng = np.random.default_rng(seed)
@@ -227,6 +223,8 @@ def extract_quadratures(frames: list[TraceFrame], config: WaveformConfig,
     """
     if not frames:
         raise ValueError("no frames")
+    if num_modes is not None and num_modes < 1:
+        raise ValueError(f"num_modes must be >= 1, got {num_modes!r}")
     dt_ns = config.dt_ns
     n = math.inf
     for i, frame in enumerate(frames):

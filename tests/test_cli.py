@@ -74,6 +74,17 @@ def test_verify_names_the_bad_field_of_a_schedule(tmp_path, capsys):
     assert not csv.exists()
 
 
+def test_verify_refuses_a_negative_seed_by_name(tmp_path, capsys):
+    sched, csv = tmp_path / "c.json", tmp_path / "c.csv"
+    assert main(["compile", "cluster1d", "--n", "4", "-o", str(sched)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(sched), "--seed", "-1", "--csv", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0\n"
+    assert captured.out == ""
+    assert not csv.exists()
+
+
 def test_verify_refuses_a_non_finite_draw(tmp_path, capsys, monkeypatch):
     sched, csv = tmp_path / "c.json", tmp_path / "c.csv"
     assert main(["compile", "cluster1d", "--n", "4", "-o", str(sched)]) == 0

@@ -149,6 +149,21 @@ def test_frames_too_short_for_requested_mode():
         extract_quadratures(frames, config, num_modes=6)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda c, f: extract_quadratures(f, c, num_modes=0), "num_modes must be >= 1"),
+    (lambda c, f: extract_quadratures(f, c, num_modes=-1), "num_modes must be >= 1"),
+    (lambda c, f: shot_noise_frames(c, 0, 3), "num_modes must be >= 1"),
+    (lambda c, f: shot_noise_frames(c, -1, 3), "num_modes must be >= 1"),
+    (lambda c, f: shot_noise_frames(c, 2, -3), "num_frames must be >= 0"),
+], ids=["extract-zero-modes", "extract-negative-modes", "noise-zero-modes",
+        "noise-negative-modes", "noise-negative-frames"])
+def test_frame_counts_below_their_minimum_are_refused_by_name(call, message):
+    config = WaveformConfig()
+    frames = shot_noise_frames(config, num_modes=2, num_frames=2, seed=2)
+    with pytest.raises(ValueError, match=message):
+        call(config, frames)
+
+
 def test_frame_text_round_trip():
     frame = TraceFrame(np.array([0.125, -0.5, 3.0]), 10.0, 0.8)
     back = frame_from_text(frame_to_text(frame))
