@@ -26,6 +26,12 @@ The drivers differ only in which modes they keep:
   With a plan the stream keeps only the loop mode and produces exact joint
   homodyne samples by sequential conditioning: one covariance is mapped per
   bin, and the per-shot means move by that bin's composed map in one matmul.
+  That per-bin work apart from the shots is one kernel,
+  ``_conditioned_bin``, of the bin's setting, its angle and the loop
+  mode's state.  In a periodic schedule the state soon repeats bit for bit,
+  so a bounded memo per stream, keyed on the state's exact bytes, replays
+  the kernel's result: a 1008-mode cluster plan runs it for about 84 of
+  its 1009 bins, and the draws stay the same.
   Both streams read every bin's ``T``, ``theta`` and source from the
   schedule and its channels from the schedule's noise.
 * ``run_loop_sampled`` collects one sampling run into a ``SampleSet``.
@@ -309,51 +315,90 @@ def _window_covariances(schedule: ControlSchedule, source: SqueezerSpec,
             modes.remove(m)
 
 
+def _packed(cov: np.ndarray, response: np.ndarray, twin) -> bytes:
+    """The sampled stream's state as one key: the raw float64 bytes."""
+    parts = (cov, response) if twin is None else (cov, response, twin)
+    return np.concatenate([np.ravel(a) for a in parts]).tobytes()
+
+
+def _conditioned_bin(bin_map, dephasing, phi, state: bytes):
+    """One bin of the sampled stream without its shots: (step, scale, state).
+
+    ``state`` packs the loop covariance, the last draw's mean shift per unit
+    innovation (``response``) and, with jitter, the unconditioned twin, as
+    ``_packed`` gives them.  The loop covariance goes through the bin's map
+    to the (exiting, loop) pair; the twin is mapped too and supplies the
+    dephasing noise, whose second moments the conditioned means could only
+    estimate.  The exiting mode is rotated by -phi and conditioned on its x
+    draw, whose standard deviation is ``scale``.  The map, the rotation and
+    ``response`` compose into the read-only 3x3 ``step`` that moves the
+    means.  With ``phi`` None (bin 1, whose exit is discarded) only the
+    state moves, and ``step`` and ``scale`` are None.
+    """
+    lin, noise = bin_map
+    held = np.frombuffer(state)
+    cov, response = held[:4].reshape(2, 2), held[4:6]
+    pair = lin @ cov @ lin.T + noise
+    twin = None
+    if dephasing is not None:
+        twin = lin[2:] @ held[6:].reshape(2, 2) @ lin[2:].T + noise[2:, 2:]
+        added = dephasing(twin)
+        twin += added
+        pair[2:, 2:] += added
+    if phi is None:
+        return None, None, _packed(pair[2:, 2:], response, twin)
+    transfer = lin.T.copy()  # the loop mode's unit quadratures, mapped
+    g._apply_rotation_inplace(pair, transfer, 0, -phi)
+    step = np.empty((3, 3))
+    step[:, :2] = transfer.T[[2, 3, 0]]  # new loop x, p; exiting x
+    step[:, 2] = step[:, :2] @ response
+    step.setflags(write=False)
+    scale = np.sqrt(pair[0, 0])
+    gain = np.zeros(4)  # becomes the mean shift per unit innovation
+    g._condition_on_x(pair, gain, 0, 1.0)
+    return step, scale, _packed(pair[2:, 2:], gain[2:], twin)
+
+
 def _sample_stream(schedule: ControlSchedule, source: SqueezerSpec,
                    angles_deg, shots: int,
                    rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Yield each output mode's homodyne draws, one per shot.
 
-    Only the loop mode carries over between bins.  Its covariance, shared
-    by the per-shot conditional means, goes through the bin's fused map to
-    the (exiting, loop) pair, whose exiting mode is rotated by -phi and
-    conditioned on its x draw.  The means are held as ``(3, shots)``: the
-    loop mode's two predicted means and the last innovation.  The map, the
-    rotation and the last draw's mean shift per unit innovation
-    (``response``) compose into one 3x3 step, so one matmul moves them per
-    bin.  With jitter, the unconditioned twin of the loop covariance is
-    mapped too and supplies the dephasing noise, whose second moments the
-    conditioned means could only estimate.
+    Only the loop mode carries over between bins.  Its covariance is shared
+    by the per-shot conditional means, held as ``(3, shots)``: the loop
+    mode's two predicted means and the last innovation.  ``_conditioned_bin``
+    does each bin's work that does not depend on the shots, so per bin the
+    means move by one 3x3 ``step`` and the exiting x is one scaled normal
+    draw per shot.  That work depends only on the bin's setting, its angle
+    and the state, which repeats exactly in a periodic schedule, so it is
+    memoized per stream.  The key is the setting, the angle and the state's
+    raw bytes, so no -0.0 or NaN payload of the state aliases another; the
+    memo holds at most 1024 entries, so long non-repeating schedules keep
+    memory flat.  The draws are the same, in the same order, whether a
+    bin's work is computed or replayed.
     """
     maps, dephasing = _schedule_maps(schedule, source)
-    cov = g.VACUUM_VARIANCE * np.eye(2)  # the initial loop content
-    twin = cov if dephasing is not None else None
+
+    @functools.lru_cache(maxsize=1024)
+    def conditioned(transmissivity: float, theta_deg: float, kind: str,
+                    phi, state: bytes):
+        bin_map = maps(transmissivity, theta_deg, kind)
+        return _conditioned_bin(bin_map, dephasing, phi, state)
+
+    vacuum = g.VACUUM_VARIANCE * np.eye(2)  # the initial loop content
+    twin = vacuum if dephasing is not None else None
+    state = _packed(vacuum, np.zeros(2), twin)
     means = np.zeros((3, shots))
-    response = np.zeros(2)
     phis = itertools.chain((None,), angles_deg)  # bin 1's exit is discarded
     for setting, phi in zip(schedule.bins, phis):
-        lin, noise = maps(setting.T, setting.theta_deg, setting.source)
-        pair = lin @ cov @ lin.T + noise
-        if twin is not None:
-            twin = lin[2:] @ twin @ lin[2:].T + noise[2:, 2:]
-            added = dephasing(twin)
-            twin += added
-            pair[2:, 2:] += added
-        if phi is None:
-            cov = pair[2:, 2:]
+        step, scale, state = conditioned(setting.T, setting.theta_deg,
+                                         setting.source, phi, state)
+        if step is None:
             continue
-        transfer = lin.T.copy()  # the loop mode's unit quadratures, mapped
-        g._apply_rotation_inplace(pair, transfer, 0, -phi)
-        step = np.empty((3, 3))
-        step[:, :2] = transfer.T[[2, 3, 0]]  # new loop x, p; exiting x
-        step[:, 2] = step[:, :2] @ response
         means = step @ means
-        innovation = np.sqrt(pair[0, 0]) * rng.standard_normal(shots)
+        innovation = scale * rng.standard_normal(shots)
         draws = means[2] + innovation
         means[2] = innovation
-        gain = np.zeros(4)  # becomes the mean shift per unit innovation
-        g._condition_on_x(pair, gain, 0, 1.0)
-        cov, response = pair[2:, 2:], gain[2:]
         yield draws
 
 

@@ -168,6 +168,8 @@ def parse_schedule(text: str) -> ControlSchedule:
     except json.JSONDecodeError as exc:
         raise ScheduleFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # the decoder recurses once per level
+        raise ScheduleFormatError("top level: nested too deeply") from exc
     _check_shape(doc, "top level", _TOP_KEYS, required=("bins",))
     if not isinstance(doc["bins"], list):
         raise ScheduleFormatError("bins: expected an array")

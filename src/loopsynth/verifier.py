@@ -33,16 +33,19 @@ NULLIFIER_THRESHOLD = 0.5
 INSEPARABILITY_THRESHOLD = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullifierSpec:
     """Linear combination of mode quadratures; modes are 1-based.
 
     terms: tuple of (mode, "x" | "p", coefficient).  A spec may use at most
     one quadrature kind per mode so that it is measurable in a single run.
+    ``label`` is ``given_label`` (e.g. a star target's cluster-frame name)
+    or else the terms, formatted when read.  Two specs are equal when their
+    terms and labels are.
     """
 
     terms: tuple[tuple[int, str, float], ...]
-    label: str = ""
+    given_label: str = ""
     threshold: ClassVar[float] = NULLIFIER_THRESHOLD
 
     def __post_init__(self):
@@ -62,8 +65,19 @@ class NullifierSpec:
             if kinds.setdefault(mode, quad) != quad:
                 raise ValueError(
                     f"mode {mode} would need both x and p in one run")
-        if not self.label:
-            object.__setattr__(self, "label", _format_terms(self.terms))
+
+    @property
+    def label(self) -> str:
+        return self.given_label or _format_terms(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, NullifierSpec):
+            return NotImplemented
+        return self.terms == other.terms and (
+            self.given_label == other.given_label or self.label == other.label)
+
+    def __hash__(self):
+        return hash(self.terms)
 
     def modes(self) -> tuple[int, ...]:
         return tuple(sorted({m for m, _, _ in self.terms}))
@@ -121,7 +135,7 @@ class Estimate:
 
 
 def _n(*terms, label: str = "") -> NullifierSpec:
-    return NullifierSpec(tuple(terms), label=label)
+    return NullifierSpec(tuple(terms), label)
 
 
 def _ghz_pair_order(n: int) -> list[tuple[int, int]]:

@@ -151,6 +151,14 @@ def _frames_of(block: np.ndarray, dt_ns: float) -> list[TraceFrame]:
     return [TraceFrame(row, 0.0, dt_ns) for row in block]
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer of at least ``least``, by name."""
+    if not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 def shot_noise_frames(config: WaveformConfig, num_modes: int, num_frames: int,
                       seed=None) -> list[TraceFrame]:
     """Raw white-noise frames with per-sample variance 1/(4 dt).
@@ -161,10 +169,8 @@ def shot_noise_frames(config: WaveformConfig, num_modes: int, num_frames: int,
     in row blocks, each frame a read-only view of its block; the draws are
     those of one n-sample draw per frame in turn.
     """
-    if num_modes < 1:
-        raise ValueError(f"num_modes must be >= 1, got {num_modes!r}")
-    if num_frames < 0:
-        raise ValueError(f"num_frames must be >= 0, got {num_frames!r}")
+    _check_count("num_modes", num_modes, 1)
+    _check_count("num_frames", num_frames, 0)
     n = config.frame_length(num_modes)
     dt_s = config.dt_ns * 1e-9
     rng = np.random.default_rng(seed)
@@ -223,8 +229,8 @@ def extract_quadratures(frames: list[TraceFrame], config: WaveformConfig,
     """
     if not frames:
         raise ValueError("no frames")
-    if num_modes is not None and num_modes < 1:
-        raise ValueError(f"num_modes must be >= 1, got {num_modes!r}")
+    if num_modes is not None:
+        _check_count("num_modes", num_modes, 1)
     dt_ns = config.dt_ns
     n = math.inf
     for i, frame in enumerate(frames):

@@ -74,6 +74,16 @@ def test_verify_names_the_bad_field_of_a_schedule(tmp_path, capsys):
     assert not csv.exists()
 
 
+def test_verify_refuses_a_deeply_nested_schedule(tmp_path, capsys):
+    sched, csv = tmp_path / "deep.json", tmp_path / "deep.csv"
+    sched.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["verify", str(sched), "--csv", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {sched}: top level: nested too deeply\n"
+    assert captured.out == ""
+    assert not csv.exists()
+
+
 def test_verify_refuses_a_negative_seed_by_name(tmp_path, capsys):
     sched, csv = tmp_path / "c.json", tmp_path / "c.csv"
     assert main(["compile", "cluster1d", "--n", "4", "-o", str(sched)]) == 0

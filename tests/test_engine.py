@@ -386,6 +386,28 @@ def test_bin_step_runs_once_per_distinct_setting(monkeypatch):
     assert 0 < len(calls) <= distinct
 
 
+def test_sampled_conditioning_replays_once_the_stream_repeats(monkeypatch):
+    # without the memo the kernel would run once per bin (1009 per plan)
+    target = TargetState.linear_cluster(1008)
+    sched = compile_target(target, noise=NoiseConfig(
+        mode="realistic", detection_efficiency=0.911))
+    calls = []
+    real = engine._conditioned_bin
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_conditioned_bin", counted)
+    plans = verifier.plan_measurements(nullifiers_for(target),
+                                       sched.num_outputs, shots=20)
+    assert len(plans) == 2
+    for plan, _ in plans:
+        calls.clear()
+        run_loop_sampled(sched, SOURCE, plan, seed=3)
+        assert 0 < len(calls) <= 100
+
+
 @st.composite
 def loop_schedules(draw):
     """Random schedules with storage bins, branch corners and 0-20 dB sources."""

@@ -83,6 +83,21 @@ def test_spec_accepts_numpy_integer_modes():
     assert spec.modes() == (1, 2)
 
 
+def test_spec_formats_its_label_only_when_read(monkeypatch):
+    terms = ((1, "p", 1.0), (2, "x", -0.5))
+    calls = []
+    real = verifier._format_terms
+    monkeypatch.setattr(verifier, "_format_terms",
+                        lambda t: calls.append(None) or real(t))
+    plain, named = NullifierSpec(terms), NullifierSpec(terms, "p1-x2/2")
+    assert not calls
+    assert (plain.label, named.label) == ("p1-0.5*x2", "p1-x2/2")
+    # equality and hashing go by terms and label, as with a stored label
+    assert plain == NullifierSpec(terms, "p1-0.5*x2")
+    assert hash(plain) == hash(NullifierSpec(terms, "p1-0.5*x2"))
+    assert plain != named and named == NullifierSpec(terms, "p1-x2/2")
+
+
 # ---------------------------------------------------------------------------
 # analytic evaluation
 # ---------------------------------------------------------------------------

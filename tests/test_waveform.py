@@ -164,6 +164,21 @@ def test_frame_counts_below_their_minimum_are_refused_by_name(call, message):
         call(config, frames)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda c, f: extract_quadratures(f, c, num_modes=1.0),
+     "num_modes must be an integer, got 1.0"),
+    (lambda c, f: shot_noise_frames(c, 2.5, 2),
+     "num_modes must be an integer, got 2.5"),
+    (lambda c, f: shot_noise_frames(c, 2, 2.5),
+     "num_frames must be an integer, got 2.5"),
+], ids=["extract-float-modes", "noise-float-modes", "noise-float-frames"])
+def test_non_integer_frame_counts_are_refused_by_name(call, message):
+    config = WaveformConfig()
+    frames = shot_noise_frames(config, num_modes=2, num_frames=2, seed=2)
+    with pytest.raises(ValueError, match=message):
+        call(config, frames)
+
+
 def test_frame_text_round_trip():
     frame = TraceFrame(np.array([0.125, -0.5, 3.0]), 10.0, 0.8)
     back = frame_from_text(frame_to_text(frame))
