@@ -33,7 +33,7 @@ NULLIFIER_THRESHOLD = 0.5
 INSEPARABILITY_THRESHOLD = 1.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NullifierSpec:
     """Linear combination of mode quadratures; modes are 1-based.
 
@@ -41,7 +41,7 @@ class NullifierSpec:
     one quadrature kind per mode so that it is measurable in a single run.
     ``label`` is ``given_label`` (e.g. a star target's cluster-frame name)
     or else the terms, formatted when read.  Two specs are equal when their
-    terms and labels are.
+    terms and given labels are.
     """
 
     terms: tuple[tuple[int, str, float], ...]
@@ -69,15 +69,6 @@ class NullifierSpec:
     @property
     def label(self) -> str:
         return self.given_label or _format_terms(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, NullifierSpec):
-            return NotImplemented
-        return self.terms == other.terms and (
-            self.given_label == other.given_label or self.label == other.label)
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def modes(self) -> tuple[int, ...]:
         return tuple(sorted({m for m, _, _ in self.terms}))

@@ -1,9 +1,9 @@
 """Run the CI workflow's steps on this machine, without a CI service.
 
-    python3 tools/ci_steps.py [WORKFLOW]
+    python3 tools/ci_steps.py
 
-Reads ``.github/workflows/ci.yml`` (or WORKFLOW) and runs every step that
-has a ``run:`` script, in order, from the root of the checkout, under
+Reads ``.github/workflows/ci.yml`` and runs every step that has a
+``run:`` script, in order, from the root of the checkout, under
 ``bash -eo pipefail`` as the hosted runner does.  The job's ``env`` is
 applied, ``RUNNER_TEMP`` points to a fresh temporary directory, and a shim
 for the ``loopsynth`` console script, on this interpreter, comes first on
@@ -31,9 +31,9 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
 
 
-def workflow_steps(path: Path = WORKFLOW) -> list[tuple[str, dict, str]]:
+def workflow_steps() -> list[tuple[str, dict, str]]:
     """``(name, job env, run script)`` of every step with a ``run:``, in order."""
-    doc = yaml.safe_load(path.read_text())
+    doc = yaml.safe_load(WORKFLOW.read_text())
     steps = []
     for job in doc["jobs"].values():
         env = {k: str(v) for k, v in job.get("env", {}).items()}
@@ -80,9 +80,8 @@ def run_steps(steps) -> int:
     return 1 if failed else 0
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    return run_steps(workflow_steps(Path(argv[0]) if argv else WORKFLOW))
+def main() -> int:
+    return run_steps(workflow_steps())
 
 
 if __name__ == "__main__":
