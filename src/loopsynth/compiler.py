@@ -17,6 +17,10 @@ from dataclasses import dataclass
 from .schedule import BinSetting, ControlSchedule, NoiseConfig
 
 GOLDEN_RATIO_T = (math.sqrt(5.0) - 1.0) / 2.0
+# The last m whose F(m)/F(m+1), correctly rounded, is not GOLDEN_RATIO_T.
+# The ratios are the continued-fraction convergents of 1/phi, so every later
+# one lies between those of m = 43 and m = 44, and both of these round to it.
+LAST_DISTINCT_FIBONACCI_RATIO = 42
 
 TARGET_KINDS = ("epr", "ghz", "linear", "star", "infinite")
 
@@ -107,9 +111,12 @@ def compile_target(target: TargetState,
             thetas[n - 1] = 90.0
         phis = [0.0] * (n + 1)
     elif target.kind == "linear":
-        fib = fibonacci_numbers(n + 2)
-        ts = [1.0] + [fib[n - k + 2] / fib[n - k + 3]
-                      for k in range(2, n + 1)] + [1.0]
+        # bin k needs F(m)/F(m+1) at m = n - k + 2; exact ints only up to
+        # the last ratio that differs, so the compile is linear in n
+        fib = fibonacci_numbers(min(n, LAST_DISTINCT_FIBONACCI_RATIO) + 2)
+        ts = [1.0] + [fib[m] / fib[m + 1]
+                      if m <= LAST_DISTINCT_FIBONACCI_RATIO else GOLDEN_RATIO_T
+                      for m in range(n, 1, -1)] + [1.0]
         thetas = [90.0] * n + [0.0]  # the final bin only releases
         phis = _cluster_phi(n)
     elif target.kind == "infinite":

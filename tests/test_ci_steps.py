@@ -18,10 +18,10 @@ def test_runner_reads_every_named_step_of_the_workflow():
     runner = load_runner()
     steps = runner.workflow_steps()
     names = [name for name, _, _ in steps]
-    assert len(names) == len(set(names)) == 14
+    assert len(names) == len(set(names)) == 15
     assert names[:2] == ["Install the package with its test dependencies",
                          "Tier-1 tests"]
     assert all(env == {"PYTHONPATH": "src"} for _, env, _ in steps)
     # only the pip install is skipped offline
     assert [runner.is_install(script) for _, _, script in steps] == \
-        [True] + [False] * 13
+        [True] + [False] * 14

@@ -1,16 +1,17 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopsynth.compiler import (GOLDEN_RATIO_T, TargetState, _flip_corrected,
-                                compile_storage, compile_target,
-                                delta_for_transmissivity, fibonacci,
-                                hardware_check)
+from loopsynth.compiler import (GOLDEN_RATIO_T, LAST_DISTINCT_FIBONACCI_RATIO,
+                                TargetState, _flip_corrected, compile_storage,
+                                compile_target, delta_for_transmissivity,
+                                fibonacci, fibonacci_numbers, hardware_check)
 from loopsynth.engine import bin_coupling
 from loopsynth.gaussian import beamsplitter_matrix
 from loopsynth.schedule import serialize_schedule
@@ -129,6 +130,41 @@ def test_linear_transmissivities_approach_constant():
     ts, _ = seq(compile_target(TargetState.linear_cluster(30)))
     for t in ts[1:22]:  # away from the chain tail
         assert abs(t - GOLDEN_RATIO_T) < 1e-4
+
+
+def test_fibonacci_ratios_past_the_bound_all_round_to_the_golden_ratio():
+    # r(m) = F(m)/F(m+1) are the convergents of 1/phi: by Cassini's identity
+    # r(m+1) - r(m) = (-1)^m / (F(m+1) F(m+2)), so they alternate about 1/phi
+    # with shrinking steps, and every r(m), m >= 45, lies strictly between
+    # r(43) and r(44).  Rounding is monotone, so when both of those round to
+    # GOLDEN_RATIO_T, every later ratio does too.
+    last = LAST_DISTINCT_FIBONACCI_RATIO
+    fib = fibonacci_numbers(2003)
+    ratio = [Fraction(fib[m], fib[m + 1]) for m in range(1, 2002)]
+    ratio.insert(0, None)  # index by m
+    for m in range(1, 2000):
+        step = ratio[m + 1] - ratio[m]
+        assert step == Fraction((-1) ** m, fib[m + 1] * fib[m + 2])
+    low, high = sorted((ratio[last + 1], ratio[last + 2]))
+    assert all(low < ratio[m] < high for m in range(last + 3, 2002))
+    assert float(low) == float(high) == GOLDEN_RATIO_T
+    # and the bound is tight: the ratio just before it is another double
+    assert float(ratio[last]) != GOLDEN_RATIO_T
+
+
+def test_linear_compile_holds_no_exact_fibonacci_numbers_at_length():
+    # F(k) has about 0.69 k bits; the whole list up to F(100 002) held
+    # about 480 MB at the peak of this compile
+    compile_target(TargetState.linear_cluster(100))
+    tracemalloc.start()
+    try:
+        schedule = compile_target(TargetState.linear_cluster(100000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(schedule.bins) == 100001
+    assert schedule.bins[1].T == GOLDEN_RATIO_T
+    assert peak < 64e6
 
 
 def test_cluster_phi_defaults_alternate():

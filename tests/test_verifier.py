@@ -1,7 +1,10 @@
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopsynth import verifier
 from loopsynth.compiler import TargetState, compile_target
@@ -213,6 +216,21 @@ def test_two_shot_estimate_edge():
     assert result.stderr == pytest.approx(result.value * np.sqrt(2.0), abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9000), st.integers(0, 2**32 - 1),
+       st.floats(1e-3, 1e3), st.floats(-1e3, 1e3))
+def test_unbiased_variance_equals_numpy_var_bit_for_bit(n, seed, scale, shift):
+    x = shift + scale * np.random.default_rng(seed).standard_normal(n)
+    assert verifier._unbiased_variance(x.copy()) == float(np.var(x, ddof=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e100, 1e100), min_size=2, max_size=60))
+def test_unbiased_variance_equals_numpy_var_on_any_floats(values):
+    x = np.array(values)
+    assert verifier._unbiased_variance(x.copy()) == float(np.var(x, ddof=1))
+
+
 def test_estimate_rejects_wrong_basis():
     plan = MeasurementPlan((0.0, 0.0), shots=100)
     samples = sample_quadratures(vacuum(2), plan, seed=6)
@@ -357,6 +375,155 @@ def test_sampled_stream_holds_only_the_rows_still_read():
         tracemalloc.stop()
     assert len(estimates) == 400
     assert peak < 400 * 2000 * 8 / 10  # a tenth of one plan's whole array
+
+
+def _cluster_case(n=40, mode="realistic"):
+    target = TargetState.linear_cluster(n)
+    return compile_target(target, NoiseConfig(mode=mode)), nullifiers_for(target)
+
+
+def _fail_in(monkeypatch, where, error):
+    """Make every plan streamed in ``where`` ("parent" or "child") raise."""
+    parent, real = os.getpid(), verifier.run_loop
+
+    def failing(*args, **kwargs):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "run_loop", failing)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The forked path on any machine, with each test bounded to a minute.
+
+    Fork does not need a second core.  The alarm, unlike a wait on the
+    child, also ends a test whose child never exits.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+    def expire(signum, frame):
+        raise TimeoutError("a forked plan test ran for a minute")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("mode", ["ideal", "realistic"])
+def test_forked_plans_equal_the_serial_run(two_cpus, monkeypatch, mode):
+    sched, criteria = _cluster_case(mode=mode)
+    forked = stream_nullifier_estimates(sched, SOURCE, criteria, 400, seed=4)
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = stream_nullifier_estimates(sched, SOURCE, criteria, 400, seed=4)
+    assert forked == serial
+    assert len(forked) == 40
+
+
+def test_forked_plans_run_at_most_one_process_per_plan(two_cpus, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    sched, criteria = _cluster_case()
+    assert len(plan_measurements(criteria, sched.num_outputs)) == 2
+    stream_nullifier_estimates(sched, SOURCE, criteria, 200, seed=1)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_plans_stream_in_process_while_another_thread_runs(two_cpus,
+                                                           monkeypatch):
+    monkeypatch.setattr(verifier.threading, "active_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    sched, criteria = _cluster_case(n=8)
+    assert len(stream_nullifier_estimates(sched, SOURCE, criteria, 100)) == 8
+
+
+def test_a_result_larger_than_a_pipe_buffer_comes_back_whole(two_cpus):
+    # 20 000 estimates are 320 KB of floats, several times a pipe's buffer:
+    # a parent that waited on its child before reading would hang here
+    def stream(k):
+        return [verifier.Estimate(k + i / 7, i * 1e-3) for i in range(20000)]
+
+    assert verifier._run_plans(stream, [(0,), (1,)]) == [stream(0), stream(1)]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [ValueError("planted in the child"),
+                                   MemoryError("planted in the child")],
+                         ids=lambda e: type(e).__name__)
+def test_a_childs_error_is_raised_unchanged(two_cpus, monkeypatch, error):
+    sched, criteria = _cluster_case()
+    _fail_in(monkeypatch, "child", error)
+    with pytest.raises(type(error), match=r"^planted in the child$"):
+        stream_nullifier_estimates(sched, SOURCE, criteria, 200, seed=1)
+    _assert_no_child_left()
+
+
+def test_a_childs_non_finite_draw_is_named(two_cpus, monkeypatch):
+    sched, criteria = _cluster_case()
+    parent, real = os.getpid(), verifier.run_loop
+
+    def corrupted(*args, **kwargs):
+        for record in real(*args, **kwargs):
+            if os.getpid() != parent and record.index == 7:
+                record.values[3] = np.inf
+            yield record
+
+    monkeypatch.setattr(verifier, "run_loop", corrupted)
+    with pytest.raises(ValueError, match=r"^non-finite samples of mode 7$"):
+        stream_nullifier_estimates(sched, SOURCE, criteria, 200, seed=1)
+    _assert_no_child_left()
+
+
+def test_an_error_in_the_callers_plan_still_reaps_the_child(two_cpus,
+                                                            monkeypatch):
+    sched, criteria = _cluster_case()
+    _fail_in(monkeypatch, "parent", ValueError("planted in the parent"))
+    with pytest.raises(ValueError, match=r"^planted in the parent$"):
+        stream_nullifier_estimates(sched, SOURCE, criteria, 200, seed=1)
+    _assert_no_child_left()
+
+
+def test_a_share_whose_fork_fails_streams_in_process(two_cpus, monkeypatch):
+    sched, criteria = _cluster_case()
+    serial = stream_nullifier_estimates(sched, SOURCE, criteria, 200, seed=2)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert stream_nullifier_estimates(sched, SOURCE, criteria, 200,
+                                      seed=2) == serial
+
+
+def test_a_child_that_sends_nothing_is_an_error(two_cpus, monkeypatch):
+    sched, criteria = _cluster_case()
+    monkeypatch.setattr(verifier, "_plans_child",
+                        lambda stream, plans, read_end, write_end: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3 and sent nothing"):
+        stream_nullifier_estimates(sched, SOURCE, criteria, 200, seed=1)
+    _assert_no_child_left()
 
 
 def test_total_momentum_holds_every_row():
