@@ -35,6 +35,12 @@ from .engine import run_unrolled  # noqa: F401
 
 NULLIFIER_THRESHOLD = 0.5
 INSEPARABILITY_THRESHOLD = 1.0
+# Fewest draws (outputs times shots) in one plan for which the plans are
+# sampled in forked processes.  A fork, exit and wait cost 2.5-4 ms.  On a
+# 2-core VM an in-process verify forked lost up to 5 ms or won up to 11 ms,
+# by load, at 250 000-375 000 draws (50-75 modes at 5000 shots), and won
+# 3-18 ms in every run from 400 000 draws (80 modes at 5000 shots) on.
+FORK_MIN_DRAWS = 400_000
 
 
 @dataclass(frozen=True)
@@ -443,10 +449,11 @@ def stream_nullifier_estimates(schedule: ControlSchedule, source: SqueezerSpec,
 
     The sampled twin of ``stream_nullifier_variances``.  The parts are
     grouped by ``plan_measurements``, and each plan is sampled once by
-    ``stream_plan_estimates`` with its own child of ``SeedSequence(seed)``.
-    The plans are independent, so they run at once, in at most one process
-    per plan and per CPU this process may use (see ``_run_plans``); the
-    caller streams the first plan itself.  The estimates are the same bits
+    ``_stream_plan_estimates`` with its own child of ``SeedSequence(seed)``.
+    The plans are independent, so once a plan draws ``FORK_MIN_DRAWS``
+    values or more they run at once, in at most one process per plan and
+    per CPU this process may use (see ``_run_plans``); the caller streams
+    the first plan itself.  The estimates are the same bits
     however many processes ran, and each equals ``estimate`` on
     ``run_loop_sampled`` with the same plan and child seed.  A non-finite
     draw raises ValueError, as ``SampleSet`` refuses one.
@@ -454,14 +461,15 @@ def stream_nullifier_estimates(schedule: ControlSchedule, source: SqueezerSpec,
     groups = plan_measurements(criteria, schedule.num_outputs, shots)
     seeds = np.random.SeedSequence(seed).spawn(len(groups))
     plans = [(plan, specs, child) for (plan, specs), child in zip(groups, seeds)]
-    done = _run_plans(partial(stream_plan_estimates, schedule, source), plans)
+    done = _run_plans(partial(_stream_plan_estimates, schedule, source), plans,
+                      schedule.num_outputs * shots)
     return {spec: found for (_, specs, _), estimates in zip(plans, done)
             for spec, found in zip(specs, estimates)}
 
 
-def stream_plan_estimates(schedule: ControlSchedule, source: SqueezerSpec,
-                          plan: MeasurementPlan, specs,
-                          seed=None) -> list[Estimate]:
+def _stream_plan_estimates(schedule: ControlSchedule, source: SqueezerSpec,
+                           plan: MeasurementPlan, specs,
+                           seed=None) -> list[Estimate]:
     """Sampled estimate of each spec measurable in ``plan``, in spec order.
 
     One ``run_loop`` sampling run.  A spec is estimated at the record of its
@@ -484,7 +492,7 @@ def stream_plan_estimates(schedule: ControlSchedule, source: SqueezerSpec,
     return results
 
 
-def _run_plans(stream, plans) -> list[list[Estimate]]:
+def _run_plans(stream, plans, draws: int) -> list[list[Estimate]]:
     """``[stream(*p) for p in plans]``, the plans split over forked processes.
 
     With w = min(plans, CPUs in this process's affinity mask) workers, the
@@ -494,13 +502,18 @@ def _run_plans(stream, plans) -> list[list[Estimate]]:
     the same bits as in process; an exception raised in a child is raised
     here with the same type and message.  Every child is reaped before this
     returns or raises, killed first if it is still running.  The plans run
-    in process when there is one worker, or where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, or while another Python thread
-    runs, since a forked copy of a threaded process can deadlock; a share
-    whose fork fails runs in process too.
+    in process when there is one worker, when a plan makes fewer than
+    ``FORK_MIN_DRAWS`` ``draws`` (a fork would cost more than it saves),
+    where ``os.fork`` or ``os.sched_getaffinity`` is missing, or while
+    another Python thread runs, since a forked copy of a threaded process
+    can deadlock; a share whose fork fails runs in process too.  Native
+    threads, such as OpenBLAS's pool, are not counted: only their own
+    ``pthread_atfork`` handlers keep the fork safe from them, and Python
+    3.12 and later warn (``DeprecationWarning``) when forking past them.
     """
     workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+    if draws >= FORK_MIN_DRAWS and hasattr(os, "fork") \
+            and hasattr(os, "sched_getaffinity") \
             and threading.active_count() == 1:
         workers = min(len(plans), len(os.sched_getaffinity(0)))
     done: list = [None] * len(plans)

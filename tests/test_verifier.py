@@ -401,7 +401,8 @@ def _assert_no_child_left():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """The forked path on any machine, with each test bounded to a minute.
+    """The forked path on any machine and at any size, each test bounded to
+    a minute.
 
     Fork does not need a second core.  The alarm, unlike a wait on the
     child, also ends a test whose child never exits.
@@ -410,6 +411,7 @@ def two_cpus(monkeypatch):
         pytest.skip("no os.fork on this platform")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
+    monkeypatch.setattr(verifier, "FORK_MIN_DRAWS", 0)
 
     def expire(signum, frame):
         raise TimeoutError("a forked plan test ran for a minute")
@@ -421,6 +423,18 @@ def two_cpus(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _count_forks(monkeypatch) -> list:
+    """A list that gains an entry at each ``os.fork`` from here on."""
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
 
 @pytest.mark.parametrize("mode", ["ideal", "realistic"])
@@ -436,18 +450,22 @@ def test_forked_plans_equal_the_serial_run(two_cpus, monkeypatch, mode):
 
 def test_forked_plans_run_at_most_one_process_per_plan(two_cpus, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = _count_forks(monkeypatch)
     sched, criteria = _cluster_case()
     assert len(plan_measurements(criteria, sched.num_outputs)) == 2
     stream_nullifier_estimates(sched, SOURCE, criteria, 200, seed=1)
     assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at", "below"])
+def test_plans_fork_from_the_draw_threshold(two_cpus, monkeypatch, over):
+    sched, criteria = _cluster_case()
+    monkeypatch.setattr(verifier, "FORK_MIN_DRAWS",
+                        sched.num_outputs * 200 + over)
+    forks = _count_forks(monkeypatch)
+    stream_nullifier_estimates(sched, SOURCE, criteria, 200, seed=1)
+    assert len(forks) == 1 - over
     _assert_no_child_left()
 
 
@@ -465,7 +483,7 @@ def test_a_result_larger_than_a_pipe_buffer_comes_back_whole(two_cpus):
     def stream(k):
         return [verifier.Estimate(k + i / 7, i * 1e-3) for i in range(20000)]
 
-    assert verifier._run_plans(stream, [(0,), (1,)]) == [stream(0), stream(1)]
+    assert verifier._run_plans(stream, [(0,), (1,)], 0) == [stream(0), stream(1)]
     _assert_no_child_left()
 
 

@@ -1,11 +1,11 @@
 """Bench in-process ``verify`` pinned to one CPU against unpinned.
 
-    python3 tools/bench_verify.py OUT.json [--pairs 10] [--n 1008] [--shots 5000]
+    python3 tools/bench_verify.py OUT.json [--pairs 10]
 
 Run from the root of a source checkout; the package is imported from its
-``src/`` directory.  Compiles the ``cluster1d`` target at ``--n`` modes, then
-times pairs of in-process ``loopsynth verify`` runs (realistic noise,
-detection efficiency 0.911) on it.  In each pair one run is pinned to a
+``src/`` directory.  Compiles the ``cluster1d`` target at 1008 modes, then
+times pairs of in-process ``loopsynth verify`` runs (5000 shots, realistic
+noise, detection efficiency 0.911) on it.  In each pair one run is pinned to a
 single CPU with ``os.sched_setaffinity``, so verify samples its plans one
 after the other in this process, and the other run has every CPU of the
 starting mask, so verify forks one process per further plan.  The two runs
@@ -46,6 +46,8 @@ import numpy as np  # noqa: E402
 
 from loopsynth.cli import main as loopsynth_main  # noqa: E402
 
+MODES = 1008
+SHOTS = 5000
 EFFICIENCY = "0.911"
 
 
@@ -95,8 +97,8 @@ def manifest(args, cpus: set[int]) -> dict:
         "git_commit": commit or None,
         "source_sha256": digest.hexdigest(),
         "platform": platform.platform(),
-        "modes": args.n,
-        "shots": args.shots,
+        "modes": MODES,
+        "shots": SHOTS,
         "pairs": args.pairs,
         "efficiency": float(EFFICIENCY),
         "seed_rule": "SeedSequence([7, pair]).generate_state(1)[0]",
@@ -107,8 +109,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("out", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--n", type=int, default=1008)
-    parser.add_argument("--shots", type=int, default=5000)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("need at least two pairs for quartiles")
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         schedule = str(Path(tmp, "cluster.json"))
         with contextlib.redirect_stdout(io.StringIO()):
-            loopsynth_main(["compile", "cluster1d", "--n", str(args.n),
+            loopsynth_main(["compile", "cluster1d", "--n", str(MODES),
                             "-o", schedule])
 
         def verify(side: str, seed: int) -> tuple[float, float]:
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
             try:
                 return run_verify([
                     "verify", schedule, "--realistic", "--efficiency", EFFICIENCY,
-                    "--shots", str(args.shots), "--seed", str(seed),
+                    "--shots", str(SHOTS), "--seed", str(seed),
                     "--csv", str(Path(tmp, f"{side}.csv"))])
             finally:
                 os.sched_setaffinity(0, cpus)
