@@ -14,12 +14,11 @@ compatible measurement plan.  Both are streamed: a sampled plan holds only
 the draws of the modes its nullifiers still read, so a cluster holds a few
 rows at any length, while GHZ and star criteria read every mode and hold
 every row.  The plans are independent, and once a plan draws 400 000
-values or more (outputs times shots) they are sampled at once: verify
-streams the first plan itself and forks children for the others, one
-process per plan but never more than the CPUs in its affinity mask.  Every
-target has two plans, so with two CPUs or more that is one child; a
-smaller target, or ``taskset -c 0``, samples them one after the other in
-one process.  Either way the output is the same bytes.
+values or more (outputs times shots) and two CPUs or more are free, they
+are sampled at once: verify streams the first plan itself, and one child
+streams the plans after the first.  A smaller target, or ``taskset -c 0``,
+samples them one after the other in one process.  Either way the output
+is the same bytes.
 
 Exit codes: 0 success, 1 usage or parse error, 2 hardware infeasibility
 under --strict-hardware, 3 selfcheck failure.  All tabular outputs are CSV

@@ -168,9 +168,22 @@ class AxisReport:
     """Feasibility of one modulator axis (delta levels or theta levels)."""
 
     name: str
-    required: tuple[float, ...]
-    feasible: bool
-    witness: tuple[float, float] | None
+    required: tuple[float, ...]  # distinct nonzero levels, ascending
+
+    @property
+    def witness(self) -> tuple[float, float] | None:
+        """Drive levels (v1, v2) that cover ``required``, or None."""
+        req = self.required
+        if len(req) == 1:
+            return (req[0], req[0])
+        if len(req) == 2 or (len(req) == 3
+                             and abs(req[0] + req[1] - req[2]) <= LEVEL_TOLERANCE):
+            return (req[0], req[1])
+        return None
+
+    @property
+    def feasible(self) -> bool:
+        return not self.required or self.witness is not None
 
     def realizable_levels(self) -> tuple[float, ...]:
         if self.witness is None:
@@ -215,19 +228,6 @@ def _distinct_nonzero(values, tol: float) -> list[float]:
     return out
 
 
-def _axis_report(name: str, values: list[float], tol: float) -> AxisReport:
-    req = _distinct_nonzero(values, tol)
-    if len(req) == 0:
-        return AxisReport(name, (), True, None)
-    if len(req) == 1:
-        return AxisReport(name, tuple(req), True, (req[0], req[0]))
-    if len(req) == 2:
-        return AxisReport(name, tuple(req), True, (req[0], req[1]))
-    if len(req) == 3 and abs(req[0] + req[1] - req[2]) <= tol:
-        return AxisReport(name, tuple(req), True, (req[0], req[1]))
-    return AxisReport(name, tuple(req), False, None)
-
-
 def hardware_check(schedule: ControlSchedule) -> FeasibilityReport:
     """Check whether one pair of free drive levels per axis covers the schedule.
 
@@ -241,5 +241,6 @@ def hardware_check(schedule: ControlSchedule) -> FeasibilityReport:
     """
     deltas = [delta_for_transmissivity(b.T) for b in schedule.bins]
     thetas = [b.theta_deg % 360.0 for b in schedule.bins]
-    return FeasibilityReport(_axis_report("delta", deltas, LEVEL_TOLERANCE),
-                             _axis_report("theta", thetas, LEVEL_TOLERANCE))
+    return FeasibilityReport(
+        AxisReport("delta", tuple(_distinct_nonzero(deltas, LEVEL_TOLERANCE))),
+        AxisReport("theta", tuple(_distinct_nonzero(thetas, LEVEL_TOLERANCE))))

@@ -159,12 +159,24 @@ def _build(cls, obj, where: str, required=()):
         raise ScheduleFormatError(f"{where}: {exc}") from exc
 
 
+def _unique_fields(pairs: list) -> dict:
+    """One JSON object's pairs as a dict; a field given twice is refused."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ScheduleFormatError(f"duplicate field {key!r}")
+            seen.add(key)
+    return obj
+
+
 def parse_schedule(text: str) -> ControlSchedule:
     """Parse a schedule document; errors carry the JSON path of the problem."""
     try:
         # integer literals parse as floats: huge ones become +-inf, which is
         # rejected with its path, instead of tripping the int digit limit
-        doc = json.loads(text, parse_int=float)
+        doc = json.loads(text, parse_int=float, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise ScheduleFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc

@@ -36,7 +36,7 @@ from .engine import run_unrolled  # noqa: F401
 NULLIFIER_THRESHOLD = 0.5
 INSEPARABILITY_THRESHOLD = 1.0
 # Fewest draws (outputs times shots) in one plan for which the plans are
-# sampled in forked processes.  A fork, exit and wait cost 2.5-4 ms.  On a
+# sampled in a forked child.  A fork, exit and wait cost 2.5-4 ms.  On a
 # 2-core VM an in-process verify forked lost up to 5 ms or won up to 11 ms,
 # by load, at 250 000-375 000 draws (50-75 modes at 5000 shots), and won
 # 3-18 ms in every run from 400 000 draws (80 modes at 5000 shots) on.
@@ -450,13 +450,11 @@ def stream_nullifier_estimates(schedule: ControlSchedule, source: SqueezerSpec,
     The sampled twin of ``stream_nullifier_variances``.  The parts are
     grouped by ``plan_measurements``, and each plan is sampled once by
     ``_stream_plan_estimates`` with its own child of ``SeedSequence(seed)``.
-    The plans are independent, so once a plan draws ``FORK_MIN_DRAWS``
-    values or more they run at once, in at most one process per plan and
-    per CPU this process may use (see ``_run_plans``); the caller streams
-    the first plan itself.  The estimates are the same bits
-    however many processes ran, and each equals ``estimate`` on
-    ``run_loop_sampled`` with the same plan and child seed.  A non-finite
-    draw raises ValueError, as ``SampleSet`` refuses one.
+    The plans are independent, so ``_run_plans`` may sample them at once:
+    the caller streams the first plan and one child streams the plans after
+    the first.  The estimates are the same bits either way, and each equals
+    ``estimate`` on ``run_loop_sampled`` with the same plan and child seed.
+    A non-finite draw raises ValueError, as ``SampleSet`` refuses one.
     """
     groups = plan_measurements(criteria, schedule.num_outputs, shots)
     seeds = np.random.SeedSequence(seed).spawn(len(groups))
@@ -493,80 +491,61 @@ def _stream_plan_estimates(schedule: ControlSchedule, source: SqueezerSpec,
 
 
 def _run_plans(stream, plans, draws: int) -> list[list[Estimate]]:
-    """``[stream(*p) for p in plans]``, the plans split over forked processes.
+    """``[stream(*p) for p in plans]``, the plans after the first in one child.
 
-    With w = min(plans, CPUs in this process's affinity mask) workers, the
-    caller streams plans 0, w, 2w, ... and each of w - 1 forked children
-    streams its own share.  A child inherits its inputs through the fork and
-    sends back only its estimates' floats over a pipe, so the results are
-    the same bits as in process; an exception raised in a child is raised
-    here with the same type and message.  Every child is reaped before this
-    returns or raises, killed first if it is still running.  The plans run
-    in process when there is one worker, when a plan makes fewer than
-    ``FORK_MIN_DRAWS`` ``draws`` (a fork would cost more than it saves),
-    where ``os.fork`` or ``os.sched_getaffinity`` is missing, or while
-    another Python thread runs, since a forked copy of a threaded process
-    can deadlock; a share whose fork fails runs in process too.  Native
-    threads, such as OpenBLAS's pool, are not counted: only their own
-    ``pthread_atfork`` handlers keep the fork safe from them, and Python
-    3.12 and later warn (``DeprecationWarning``) when forking past them.
+    The package's one statement of the fork rule.  The caller streams plan 0
+    and one forked child streams the plans after the first.  The child
+    inherits its inputs through the fork and sends back its pickled
+    estimates over a pipe, so the results are the same bits as in process;
+    an exception raised in the child is raised here with the same type and
+    message.  The child is reaped before this returns or raises, killed
+    first if it is still running.  All plans run in process when there is
+    one plan, when a plan makes fewer than ``FORK_MIN_DRAWS`` ``draws`` (a
+    fork would cost more than it saves), when this process's affinity mask
+    holds one CPU, where ``os.fork`` or ``os.sched_getaffinity`` is missing,
+    while another Python thread runs (a forked copy of a threaded process
+    can deadlock), or when the pipe or the fork fails.  Native threads, such
+    as OpenBLAS's pool, are not counted: only their own ``pthread_atfork``
+    handlers keep the fork safe from them, and Python 3.12 and later warn
+    (``DeprecationWarning``) when forking past them.
     """
-    workers = 1
-    if draws >= FORK_MIN_DRAWS and hasattr(os, "fork") \
+    pid = None
+    if len(plans) > 1 and draws >= FORK_MIN_DRAWS and hasattr(os, "fork") \
             and hasattr(os, "sched_getaffinity") \
+            and len(os.sched_getaffinity(0)) > 1 \
             and threading.active_count() == 1:
-        workers = min(len(plans), len(os.sched_getaffinity(0)))
-    done: list = [None] * len(plans)
-    children: dict[int, tuple] = {}  # pid -> (its pipe, its plan indices)
-    try:
-        for worker in range(1, workers):
-            share = range(worker, len(plans), workers)
+        try:
+            read_end, write_end = os.pipe()
             try:
-                pid, pipe = _fork_plans(stream, [plans[i] for i in share])
-            except OSError:  # no process to be had: stream the share here
-                continue
-            children[pid] = (pipe, share)
-        theirs = {i for _, share in children.values() for i in share}
-        for i, plan in enumerate(plans):
-            if i not in theirs:
-                done[i] = stream(*plan)
-        for pid, (pipe, share) in list(children.items()):
-            # read to the end first: a child blocks on a full pipe until then
-            with pipe:
-                sent = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            if not sent:  # a negative code is the signal that ended it
-                raise RuntimeError(
-                    "a sampling process exited with code "
-                    f"{os.waitstatus_to_exitcode(status)} and sent nothing")
-            sent = pickle.loads(sent)
-            if isinstance(sent, BaseException):
-                raise sent
-            for i, floats in zip(share, sent):
-                done[i] = [Estimate(value, stderr) for value, stderr
-                           in np.frombuffer(floats).reshape(-1, 2).tolist()]
-        return done
-    finally:
-        for pid, (pipe, _) in children.items():
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL, without importing signal
-            os.waitpid(pid, 0)
-
-
-def _fork_plans(stream, plans):
-    """Fork a child that streams ``plans``; its pid and its pipe, to read."""
-    read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # pragma: no cover - the child never returns
+                    _plans_child(stream, plans[1:], read_end, write_end)
+            finally:  # reached in the parent only
+                os.close(write_end)
+                if pid is None:
+                    os.close(read_end)
+        except OSError:  # no process to be had: stream every plan here
+            pass
+    if pid is None:
+        return [stream(*p) for p in plans]
     try:
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - the child never returns from here
-            _plans_child(stream, plans, read_end, write_end)
+        # read to the end first: the child blocks on a full pipe until then
+        with open(read_end, "rb") as pipe:
+            first = stream(*plans[0])
+            sent = pipe.read()
+        _, status = os.waitpid(pid, 0)
     except BaseException:
-        os.close(read_end)
+        os.kill(pid, 9)  # SIGKILL, without importing signal
+        os.waitpid(pid, 0)
         raise
-    finally:  # reached in the parent only
-        os.close(write_end)
-    return pid, open(read_end, "rb")
+    if not sent:  # a negative code is the signal that ended it
+        raise RuntimeError(
+            "a sampling process exited with code "
+            f"{os.waitstatus_to_exitcode(status)} and sent nothing")
+    sent = pickle.loads(sent)
+    if isinstance(sent, BaseException):
+        raise sent
+    return [first, *sent]
 
 
 def _plans_child(stream, plans, read_end: int,
@@ -576,8 +555,7 @@ def _plans_child(stream, plans, read_end: int,
         # only the parent reads, so the write fails, not hangs, once it is gone
         os.close(read_end)
         try:
-            sent = [np.array([(e.value, e.stderr) for e in stream(*p)]).tobytes()
-                    for p in plans]
+            sent = [stream(*p) for p in plans]
         except BaseException as exc:  # raised again in the parent
             sent = exc
         try:

@@ -53,6 +53,19 @@ def test_unknown_top_level_key_rejected():
         parse_schedule(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"bins": [{"T": 1.0}, {"T": 0.5, "T": 0.25}]}', "T"),
+    ('{"bins": [{"T": 1.0}, {"T": 1.0}], "noise": {"mode": "ideal", '
+     '"mode": "realistic"}}', "mode"),
+    ('{"tau_ns": 66.0, "bins": [{"T": 1.0}, {"T": 1.0}], "tau_ns": 70.0}',
+     "tau_ns"),
+], ids=["bin", "noise", "top"])
+def test_a_field_given_twice_is_refused(text, key):
+    # json keeps the last value of a repeated key; a schedule refuses it
+    with pytest.raises(ScheduleFormatError, match=f"^duplicate field '{key}'$"):
+        parse_schedule(text)
+
+
 def test_unknown_bin_key_rejected_with_index():
     doc = json.loads(serialize_schedule(make_schedule([1.0, 0.5])))
     doc["bins"][1]["gain"] = 3

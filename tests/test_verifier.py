@@ -458,6 +458,24 @@ def test_forked_plans_run_at_most_one_process_per_plan(two_cpus, monkeypatch):
     _assert_no_child_left()
 
 
+def test_one_child_streams_every_later_plan(two_cpus, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    sched = compile_target(TargetState.epr(), NoiseConfig(mode="realistic"))
+    criteria = [NullifierSpec(((1, "x", 1.0), (2, "x", -1.0))),
+                NullifierSpec(((1, "p", 1.0), (2, "p", 1.0))),
+                NullifierSpec(((1, "x", 1.0), (2, "p", 1.0)))]
+    assert len(plan_measurements(criteria, sched.num_outputs)) == 3
+    forks = _count_forks(monkeypatch)
+    forked = stream_nullifier_estimates(sched, SOURCE, criteria, 300, seed=5)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = stream_nullifier_estimates(sched, SOURCE, criteria, 300, seed=5)
+    assert len(forks) == 1
+    assert forked == serial
+    assert list(forked) == criteria
+
+
 @pytest.mark.parametrize("over", [0, 1], ids=["at", "below"])
 def test_plans_fork_from_the_draw_threshold(two_cpus, monkeypatch, over):
     sched, criteria = _cluster_case()

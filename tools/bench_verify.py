@@ -8,9 +8,10 @@ times pairs of in-process ``loopsynth verify`` runs (5000 shots, realistic
 noise, detection efficiency 0.911) on it.  In each pair one run is pinned to a
 single CPU with ``os.sched_setaffinity``, so verify samples its plans one
 after the other in this process, and the other run has every CPU of the
-starting mask, so verify forks one process per further plan.  The two runs
-of a pair use the same seed and the order alternates from pair to pair.
-Their CSVs must be the same bytes past the first line, or the bench fails.
+starting mask, so verify forks one child for the plans after the first.
+The two runs of a pair use the same seed and the order alternates from pair
+to pair.  Their CSVs must be the same bytes past the first line, or the
+bench fails.
 
 Writes OUT.json: per side the wall times and CPU times of every run (CPU
 time includes reaped children), their median and interquartile range, and
